@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/heuristics.h"
 #include "core/qos.h"
 #include "phy/geometry.h"
 #include "sim/latency.h"
@@ -18,36 +19,87 @@ namespace femtocr::sim {
 
 namespace {
 
-/// The engine's churn substream salt: 0xA1/0xB2/0xC3 are taken by
-/// spectrum/fading/mobility (sim/simulator.cpp); churn extends the family.
+/// The churn substream salt: 0xA1/0xB2/0xC3 are taken by
+/// spectrum/fading/mobility; churn extends the family.
 constexpr std::uint64_t kChurnSalt = 0xD4;
 
-/// sim.engine.* counters, registered lazily on the first engine run so
-/// batch binaries keep their exact historical counter set (the baseline
-/// gate compares the union of counter names).
-struct EngineCounters {
-  util::Counter& slots;
-  util::Counter& arrivals;
-  util::Counter& admitted;
-  util::Counter& rejected_capacity;
-  util::Counter& rejected_qos;
-  util::Counter& departures;
-  util::Counter& handoffs;
-  util::Counter& idle_slots;
+/// The fault layer's dedicated seed universe (see sim/faults.cpp): the
+/// access re-draws under sensing outages come from here, never from the
+/// loop's own streams, so enabling faults cannot shift the spectrum,
+/// fading, mobility or churn substreams.
+constexpr std::uint64_t kFaultAccessSalt = 0xACCE55FA017ULL;
+
+/// sim.faults.* counters, registered lazily on first applied fault so a
+/// fault-free run's metrics dump stays byte-identical to historical ones
+/// (the baseline gate compares the union of counter names).
+struct FaultCounters {
+  util::Counter& sensing_outages;  ///< slots served on frozen posteriors
+  util::Counter& control_losses;   ///< slots on the local fallback rule
+  util::Counter& fbs_outages;      ///< downed FBS-slots observed by users
+  util::Counter& primary_bursts;   ///< channel-slots forced busy post-sensing
+  util::Counter& budget_squeezes;  ///< slots with a solver iteration cap
 };
 
-EngineCounters& engine_counters() {
-  static EngineCounters c{
-      util::metrics().counter("sim.engine.slots"),
-      util::metrics().counter("sim.engine.arrivals"),
-      util::metrics().counter("sim.engine.admitted"),
-      util::metrics().counter("sim.engine.rejected.capacity"),
-      util::metrics().counter("sim.engine.rejected.qos"),
-      util::metrics().counter("sim.engine.departures"),
-      util::metrics().counter("sim.engine.handoffs"),
-      util::metrics().counter("sim.engine.idle_slots")};
+FaultCounters& fault_counters() {
+  static FaultCounters c{
+      util::metrics().counter("sim.faults.sensing_outages"),
+      util::metrics().counter("sim.faults.control_losses"),
+      util::metrics().counter("sim.faults.fbs_outages"),
+      util::metrics().counter("sim.faults.primary_bursts"),
+      util::metrics().counter("sim.faults.budget_squeezes")};
   return c;
 }
+
+/// Bumps one fault counter and tags the slot for the flight recorder.
+void note_fault(util::Counter& counter, const char* name) {
+  counter.add();
+  util::trace_note_anomaly(name);
+}
+
+/// sim.engine.* counters mirror the report's tallies. Registered on the
+/// first engine run, not at startup, so batch binaries keep their exact
+/// historical counter set (the baseline gate compares the union of counter
+/// names).
+void publish_engine_counters(const EngineReport& r) {
+  util::MetricsRegistry& m = util::metrics();
+  m.counter("sim.engine.slots").add(r.slots);
+  m.counter("sim.engine.arrivals").add(r.arrivals);
+  m.counter("sim.engine.admitted").add(r.admitted);
+  m.counter("sim.engine.rejected.capacity").add(r.rejected_capacity);
+  m.counter("sim.engine.rejected.qos").add(r.rejected_qos);
+  m.counter("sim.engine.departures").add(r.departures);
+  m.counter("sim.engine.handoffs").add(r.handoffs);
+  m.counter("sim.engine.idle_slots").add(r.idle_slots);
+}
+
+#if FEMTOCR_DCHECK_IS_ON()
+/// Per-slot contracts on whatever the scheme handed back: shapes aligned
+/// with the context, nonnegative time shares whose per-resource sums stay
+/// within the slot, and an Eq.-(23) upper bound that actually dominates the
+/// achieved objective. Runs every slot under FEMTOCR_DCHECK builds only.
+void dcheck_slot_allocation(const core::SlotContext& ctx,
+                            const core::SlotAllocation& alloc) {
+  const std::size_t K = ctx.users.size();
+  FEMTOCR_CHECK(alloc.use_mbs.size() == K && alloc.rho_mbs.size() == K &&
+                    alloc.rho_fbs.size() == K,
+                "scheme returned a mis-shaped allocation");
+  double sum_mbs = 0.0;
+  std::vector<double> sum_fbs(ctx.num_fbs, 0.0);
+  for (std::size_t j = 0; j < K; ++j) {
+    FEMTOCR_CHECK_GE(alloc.rho_mbs[j], 0.0, "negative MBS time share");
+    FEMTOCR_CHECK_GE(alloc.rho_fbs[j], 0.0, "negative FBS time share");
+    sum_mbs += alloc.rho_mbs[j];
+    sum_fbs[ctx.users[j].fbs] += alloc.rho_fbs[j];
+  }
+  FEMTOCR_CHECK_LE(sum_mbs, 1.0 + 1e-6, "MBS slot budget violated");
+  for (const double s : sum_fbs) {
+    FEMTOCR_CHECK_LE(s, 1.0 + 1e-6, "FBS slot budget violated");
+  }
+  FEMTOCR_CHECK_FINITE(alloc.objective, "slot objective must be finite");
+  FEMTOCR_CHECK_GE(alloc.upper_bound, alloc.objective - 1e-9,
+                   "per-slot upper bound fails to dominate the objective");
+}
+#endif
 
 /// Knuth's product-of-uniforms Poisson sampler: exact, and spends a
 /// deterministic-given-the-stream number of draws. Means here are O(1)
@@ -74,49 +126,89 @@ std::size_t sample_lifetime(double mean_slots, util::Rng& rng) {
 
 Engine::Engine(const Scenario& scenario, EngineConfig config,
                std::size_t run_index)
-    : scenario_(scenario),
-      config_(config),
-      run_index_(run_index),
-      topology_(scenario.mbs, scenario.fbss, scenario.users, scenario.radio,
-                scenario.graph),
-      scheme_(core::make_scheme(core::SchemeKind::kProposed, scenario.dual,
-                                scenario.use_distributed_solver)),
-      rng_(util::Rng(scenario.seed).split(0x5151 + run_index).seed()) {
+    : Engine(scenario,
+             core::make_scheme(core::SchemeKind::kProposed, scenario.dual,
+                               scenario.use_distributed_solver),
+             config, run_index, /*batch=*/false) {
   FEMTOCR_CHECK(scenario_.delivery == DeliveryModel::kFluid,
                 "the engine serves the fluid delivery model");
   FEMTOCR_CHECK(scenario_.accounting == Accounting::kExpected,
                 "the engine serves expected-channel accounting");
-  FEMTOCR_CHECK(config_.slots > 0, "engine needs a positive slot horizon");
-  const video::GopClock clock(scenario_.gop_deadline);
+}
+
+Engine::Engine(const Scenario& scenario, std::unique_ptr<core::Scheme> scheme,
+               EngineConfig config, std::size_t run_index, bool batch)
+    : scenario_(scenario),
+      config_(config),
+      run_index_(run_index),
+      batch_(batch),
+      topology_(scenario.mbs, scenario.fbss, scenario.users, scenario.radio,
+                scenario.graph),
+      scheme_(std::move(scheme)),
+      rng_(util::Rng(scenario.seed).split(0x5151 + run_index).seed()),
+      fault_plan_(scenario.faults, config.slots, scenario.fbss.size(),
+                  scenario.spectrum.num_licensed, scenario.seed, run_index),
+      roam_min_(scenario.mbs.position),
+      roam_max_(scenario.mbs.position) {
+  FEMTOCR_CHECK(scheme_ != nullptr, "the slot loop needs a scheme");
+  FEMTOCR_CHECK(config_.slots > 0, "the slot loop needs a positive horizon");
+  if (fault_plan_.enabled()) {
+    fault_rng_.emplace(util::Rng(scenario.seed ^ kFaultAccessSalt)
+                           .split(0xA0 + run_index)
+                           .seed());
+  }
+  for (const auto& f : scenario_.fbss) {
+    roam_min_.x = std::min(roam_min_.x, f.position.x - f.coverage_radius);
+    roam_max_.x = std::max(roam_max_.x, f.position.x + f.coverage_radius);
+    roam_min_.y = std::min(roam_min_.y, f.position.y - f.coverage_radius);
+    roam_max_.y = std::max(roam_max_.y, f.position.y + f.coverage_radius);
+  }
+  const double m = scenario_.mobility.margin;
+  roam_min_ = {roam_min_.x - m, roam_min_.y - m};
+  roam_max_ = {roam_max_.x + m, roam_max_.y + m};
   sessions_.reserve(topology_.num_users());
   for (const auto& u : topology_.users()) {
-    sessions_.push_back(
-        Session{video::VideoSession(video::sequence(u.video_name), clock),
-                kNeverDeparts});
+    sessions_.push_back(make_session(u.video_name, kNeverDeparts));
   }
 }
 
-void Engine::move_sessions(util::Rng& rng, EngineReport& report) {
-  double min_x = scenario_.mbs.position.x, max_x = min_x;
-  double min_y = scenario_.mbs.position.y, max_y = min_y;
-  for (const auto& f : scenario_.fbss) {
-    min_x = std::min(min_x, f.position.x - f.coverage_radius);
-    max_x = std::max(max_x, f.position.x + f.coverage_radius);
-    min_y = std::min(min_y, f.position.y - f.coverage_radius);
-    max_y = std::max(max_y, f.position.y + f.coverage_radius);
+Engine::Session Engine::make_session(const std::string& video_name,
+                                     std::size_t depart_slot) const {
+  const video::MgsVideo& v = video::sequence(video_name);
+  const video::GopClock clock(scenario_.gop_deadline);
+  Session s{video::VideoSession(v, clock), nullptr, nullptr, depart_slot};
+  if (scenario_.delivery == DeliveryModel::kPacket) {
+    s.packets = std::make_unique<video::PacketStream>(
+        v, clock, scenario_.gop_seconds, scenario_.packet_bits);
   }
-  const double m = scenario_.mobility.margin;
+  if (batch_) {
+    s.bound = std::make_unique<BoundTrack>(
+        BoundTrack{video::VideoSession(v, clock), {}});
+  }
+  return s;
+}
+
+void Engine::verify_graph(EngineReport& report) const {
+  if (!config_.verify_graph) return;
+  topology_.check_active_graph_consistency();
+  ++report.graph_cross_checks;
+}
+
+void Engine::move_users(util::Rng& rng, EngineReport& report) {
   for (std::size_t j = 0; j < topology_.num_users(); ++j) {
     phy::Point p = topology_.user(j).position;
     p.x = std::clamp(p.x + rng.normal(0.0, scenario_.mobility.step_stddev),
-                     min_x - m, max_x + m);
+                     roam_min_.x, roam_max_.x);
     p.y = std::clamp(p.y + rng.normal(0.0, scenario_.mobility.step_stddev),
-                     min_y - m, max_y + m);
-    if (topology_.move_user(j, p)) {
-      ++report.handoffs;
-      engine_counters().handoffs.add();
-    }
+                     roam_min_.y, roam_max_.y);
+    // Incremental re-association + link rebuild for this user only; links
+    // are pure functions of positions, so the result is bitwise what a
+    // from-scratch topology build would produce.
+    if (topology_.move_user(j, p)) ++report.handoffs;
   }
+#if FEMTOCR_DCHECK_IS_ON()
+  topology_.check_active_graph_consistency();
+#endif
 }
 
 bool Engine::admit(std::size_t t, phy::Point position,
@@ -125,7 +217,6 @@ bool Engine::admit(std::size_t t, phy::Point position,
   const std::size_t cell = topology_.nearest_fbs(position);
   if (topology_.users_of(cell).size() >= config_.churn.max_sessions_per_fbs) {
     ++report.rejected_capacity;
-    engine_counters().rejected_capacity.add();
     return false;
   }
   if (config_.churn.admission_min_psnr <= 0.0) return true;
@@ -175,11 +266,8 @@ bool Engine::admit(std::size_t t, phy::Point position,
                                    config_.churn.admission_min_psnr);
   const std::size_t slots_remaining =
       scenario_.gop_deadline - (t % scenario_.gop_deadline);
-  const core::QosPlan plan = core::qos_solve(probe, gt, floors,
-                                             slots_remaining);
-  if (!plan.floors_met) {
+  if (!core::qos_solve(probe, gt, floors, slots_remaining).floors_met) {
     ++report.rejected_qos;
-    engine_counters().rejected_qos.add();
     return false;
   }
   return true;
@@ -193,19 +281,16 @@ void Engine::process_departures(std::size_t t, EngineReport& report) {
     topology_.remove_user(j);
     sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(j));
     ++report.departures;
-    engine_counters().departures.add();
   }
 }
 
 void Engine::run_arrivals(std::size_t t, double expected_channels,
                           util::Rng& churn_rng, EngineReport& report) {
   const auto& catalogue = video::standard_catalogue();
-  const video::GopClock clock(scenario_.gop_deadline);
   const std::size_t offered =
       sample_poisson(config_.churn.arrival_rate, churn_rng);
   for (std::size_t a = 0; a < offered; ++a) {
     ++report.arrivals;
-    engine_counters().arrivals.add();
     // Fixed draw order per arrival: cell pick, in-disk position, lifetime.
     // The video name cycles the catalogue by arrival ordinal (no draw).
     const std::size_t cell = churn_rng.index(topology_.num_fbs());
@@ -220,20 +305,53 @@ void Engine::run_arrivals(std::size_t t, double expected_channels,
     user.position = position;
     user.video_name = name;
     topology_.add_user(user);
-    sessions_.push_back(
-        Session{video::VideoSession(video::sequence(name), clock),
-                t + lifetime});
+    sessions_.push_back(make_session(name, t + lifetime));
     ++report.admitted;
-    engine_counters().admitted.add();
+  }
+}
+
+void Engine::apply_spectrum_faults(std::size_t slot,
+                                   spectrum::SlotObservation& obs) {
+  // Sensing outage: the fusion pipeline is down, so the network serves the
+  // slot on the previous slot's (frozen) posteriors. Access decisions are
+  // re-realized against the stale beliefs from the fault universe's own
+  // stream; Eq. (7) still caps each access probability, so the collision
+  // budget holds with respect to the beliefs the network acts on.
+  if (fault_plan_.sensing_outage(slot) && !last_posteriors_.empty()) {
+    note_fault(fault_counters().sensing_outages, "sim.faults.sensing_outages");
+    obs.posteriors = last_posteriors_;
+    obs.access = spectrum::decide_access(obs.posteriors,
+                                         scenario_.spectrum.gamma, *fault_rng_);
+    obs.available = obs.access.available();
+    obs.expected_available = obs.access.expected_available();
+  } else {
+    last_posteriors_ = obs.posteriors;
+  }
+
+  // Primary-activity burst: the primary re-occupies the channel right after
+  // the sensing epoch, behind the posteriors' back. Realized collisions rise
+  // (the network cannot know), but the Eq. (7) access rule itself never
+  // exceeded its budget — the gamma invariant is about the rule.
+  for (std::size_t m = 0; m < obs.true_states.size(); ++m) {
+    if (fault_plan_.primary_burst(slot, m) &&
+        obs.true_states[m] == spectrum::ChannelState::kIdle) {
+      obs.true_states[m] = spectrum::ChannelState::kBusy;
+      note_fault(fault_counters().primary_bursts, "sim.faults.primary_bursts");
+    }
   }
 }
 
 core::SlotContext Engine::make_context(const spectrum::SlotObservation& obs,
-                                       util::Rng& fading_rng) const {
+                                       util::Rng& fading_rng,
+                                       std::size_t slot) {
   core::SlotContext ctx;
   ctx.num_fbs = topology_.num_fbs();
-  ctx.graph = &topology_.active_graph();
+  ctx.graph = &graph();
   ctx.sinr_threshold = scenario_.radio.sinr_threshold;
+  ctx.solver_iteration_cap = fault_plan_.iteration_cap(slot);
+  if (ctx.solver_iteration_cap > 0) {
+    note_fault(fault_counters().budget_squeezes, "sim.faults.budget_squeezes");
+  }
   for (std::size_t m : obs.available) {
     ctx.available.push_back(m);
     ctx.posterior.push_back(obs.posteriors[m]);
@@ -241,31 +359,153 @@ core::SlotContext Engine::make_context(const spectrum::SlotObservation& obs,
   ctx.users.reserve(topology_.num_users());
   for (std::size_t j = 0; j < topology_.num_users(); ++j) {
     core::UserState u;
-    u.psnr = sessions_[j].video.current_psnr();
+    u.psnr = sessions_[j].psnr();
     u.set_link_success(topology_.mbs_link(j).success_probability(),
                        topology_.fbs_link(j).success_probability());
     u.rate_mbs = sessions_[j].video.rate_constant(scenario_.common_bandwidth);
     u.rate_fbs =
         sessions_[j].video.rate_constant(scenario_.licensed_bandwidth);
     u.fbs = topology_.user(j).fbs;
+    // The fading draws always happen — stream alignment is part of the
+    // determinism contract — the outage only zeroes what the user sees.
     u.sinr_mbs = topology_.mbs_link(j).draw_sinr(fading_rng);
     u.sinr_fbs = topology_.fbs_link(j).draw_sinr(fading_rng);
+    if (fault_plan_.enabled() && fault_plan_.fbs_down(slot, u.fbs)) {
+      note_fault(fault_counters().fbs_outages, "sim.faults.fbs_outages");
+      u.success_fbs = 0.0;  // downed radio: no licensed-side delivery
+      u.sinr_fbs = 0.0;
+    }
     ctx.users.push_back(u);
   }
   return ctx;
 }
 
+void Engine::deliver(std::size_t t, const spectrum::SlotObservation& obs,
+                     const core::SlotContext& ctx,
+                     const core::SlotAllocation& alloc,
+                     std::size_t components) {
+  const double H = scenario_.radio.sinr_threshold;
+  const double slot_seconds =
+      scenario_.gop_seconds / static_cast<double>(scenario_.gop_deadline);
+
+  SlotTraceEntry trace_entry;
+  if (trace_ != nullptr) {
+    trace_entry.slot = t;
+    trace_entry.gop = t / scenario_.gop_deadline;
+    trace_entry.available = obs.available.size();
+    trace_entry.expected_channels = obs.expected_available;
+    trace_entry.collisions = obs.collisions();
+    trace_entry.objective = alloc.objective;
+    trace_entry.upper_bound = alloc.upper_bound;
+    trace_entry.components = components;
+    trace_entry.users.resize(sessions_.size());
+  }
+
+  // Amplification ratio for the Eq.-(23) bound trajectory: the optimum's
+  // per-slot objective gain over the channel-free baseline is at most
+  // (1 + Dbar) times the greedy's; we amplify each user's realized
+  // log-gain by the same ratio (== 1 whenever the allocation is exact).
+  double bound_ratio = 1.0;
+  if (alloc.upper_bound > alloc.objective) {
+    const double gain = alloc.objective - alloc.objective_empty;
+    if (gain > 1e-12) {
+      bound_ratio = (alloc.upper_bound - alloc.objective_empty) / gain;
+    }
+  }
+
+  for (std::size_t j = 0; j < sessions_.size(); ++j) {
+    Session& s = sessions_[j];
+    const core::UserState& u = ctx.users[j];
+    double increment = 0.0;
+    double granted_mbps = 0.0;  // link capacity handed to this user
+    bool decoded = false;       // the slot's block-fading outcome xi
+    if (alloc.use_mbs[j]) {
+      decoded = u.sinr_mbs > H;  // xi^t_{0,j}
+      granted_mbps = alloc.rho_mbs[j] * scenario_.common_bandwidth;
+      tally_.energy_mbs_joules +=
+          alloc.rho_mbs[j] * scenario_.radio.mbs_tx_power * slot_seconds;
+      if (decoded) increment = alloc.rho_mbs[j] * u.rate_mbs;
+    } else {
+      decoded = u.sinr_fbs > H;  // xi^t_{i,j}
+      double g = alloc.effective_channels(ctx, j);
+      if (scenario_.accounting == Accounting::kRealized) {
+        // Only truly idle channels deliver; collisions carry nothing.
+        const bool single =
+            !alloc.user_channel.empty() &&
+            alloc.user_channel[j] != core::SlotAllocation::kNoChannel;
+        if (single) {
+          g = obs.true_states[alloc.user_channel[j]] ==
+                      spectrum::ChannelState::kIdle
+                  ? 1.0
+                  : 0.0;
+        } else {
+          double realized = 0.0;
+          for (std::size_t m : alloc.channels[u.fbs]) {
+            if (obs.true_states[m] == spectrum::ChannelState::kIdle) {
+              realized += 1.0;
+            }
+          }
+          // Schemes with a per-user override (e.g. Heuristic 1's
+          // contention discount) keep the same discount ratio on the
+          // realized count.
+          const double expected = alloc.expected_channels[u.fbs];
+          g = expected > 0.0
+                  ? realized * alloc.effective_channels(ctx, j) / expected
+                  : 0.0;
+        }
+      }
+      granted_mbps = alloc.rho_fbs[j] * g * scenario_.licensed_bandwidth;
+      tally_.energy_fbs_joules +=
+          alloc.rho_fbs[j] * g * scenario_.radio.fbs_tx_power * slot_seconds;
+      if (decoded) increment = alloc.rho_fbs[j] * g * u.rate_fbs;
+    }
+    FEMTOCR_DCHECK_FINITE(increment, "delivered PSNR increment is NaN/inf");
+    FEMTOCR_DCHECK_GE(increment, 0.0, "delivered PSNR increment negative");
+    s.video.deliver(increment);
+    if (s.packets) {
+      const auto capacity_bits =
+          static_cast<std::size_t>(granted_mbps * 1e6 * slot_seconds);
+      s.packets->transmit(capacity_bits, decoded);
+    }
+
+    // Bound trajectory: amplify the log-gain by bound_ratio. The bound's
+    // slack comes from the licensed side (the channel allocation), so
+    // common-channel increments pass through unamplified.
+    if (s.bound) {
+      video::VideoSession& b = s.bound->compounded;
+      const double user_ratio = alloc.use_mbs[j] ? 1.0 : bound_ratio;
+      const double log_gain = std::log1p(increment / u.psnr) * user_ratio;
+      b.deliver(b.current_psnr() * std::expm1(log_gain));
+      b.end_slot(t);
+    }
+
+    if (trace_ != nullptr) {
+      UserSlotTrace& ut = trace_entry.users[j];
+      ut.use_mbs = alloc.use_mbs[j];
+      ut.rho = alloc.use_mbs[j] ? alloc.rho_mbs[j] : alloc.rho_fbs[j];
+      ut.increment = increment;
+      ut.psnr_after = s.psnr();
+    }
+
+    s.video.end_slot(t);
+    if (s.packets) s.packets->end_slot(t);
+  }
+  if (trace_ != nullptr) trace_->record(std::move(trace_entry));
+}
+
 EngineReport Engine::run() {
-  static util::TimerStat& t_run = util::metrics().timer("sim.engine.run");
   static util::TimerStat& t_spectrum =
       util::metrics().timer("sim.slot.spectrum");
   static util::TimerStat& t_allocate =
       util::metrics().timer("sim.slot.allocate");
+  static util::TimerStat& t_deliver = util::metrics().timer("sim.slot.deliver");
+  static util::Histogram& h_gap =
+      util::metrics().histogram("sim.slot.bound_gap");
   static util::Histogram& h_latency =
       util::metrics().histogram("sim.slot.decision_latency_ns");
-  EngineCounters& counters = engine_counters();
-  const util::ScopedTimer run_timer(t_run);
-  const util::ScopedSpan run_span("sim.engine.run");
+  const char* run_name = batch_ ? "sim.run" : "sim.engine.run";
+  const util::ScopedTimer run_timer(util::metrics().timer(run_name));
+  const util::ScopedSpan run_span(run_name);
 
   util::Rng spectrum_rng = rng_.split(0xA1);
   util::Rng fading_rng = rng_.split(0xB2);
@@ -273,12 +513,16 @@ EngineReport Engine::run() {
   util::Rng churn_rng = rng_.split(kChurnSalt);
   spectrum::SpectrumManager spectrum(scenario_.spectrum, spectrum_rng);
 
-  const double H = scenario_.radio.sinr_threshold;
   const std::size_t T = scenario_.gop_deadline;
-
   EngineReport report;
   report.slots = config_.slots;
+  tally_ = {};
   double psnr_sum = 0.0;
+  // Per-GOP accumulation of the per-slot optimality slack (Q_ub - Q)/K for
+  // the state-following bound.
+  double gop_bump_sum = 0.0;
+  // Decision-latency series for the per-run SLO fold. Wall-clock data:
+  // collected only when metrics or tracing are on, never printed to stdout.
   std::vector<std::int64_t> latencies;
 
   // The initial population's lifetimes come from the same churn stream,
@@ -290,27 +534,27 @@ EngineReport Engine::run() {
     }
   }
 
-  // Component count of the activity-filtered graph, recomputed only when
-  // the graph's structural version moves (churn/handoff events).
-  std::uint64_t seen_version = topology_.active_graph().version();
-  std::size_t graph_components =
-      topology_.active_graph().components().size();
+  // Shard count of the slot solves (core/shard.h): a pure function of the
+  // interference graph, recounted only when its structural version moves.
+  std::uint64_t seen_version = 0;
+  std::size_t components = 0;
 
   for (std::size_t t = 0; t < config_.slots; ++t) {
+    // The slot span + ring mark open before any slot work so the flight
+    // recorder's harvest at the slot boundary sees the whole subtree.
     const std::uint64_t slot_mark = util::trace_slot_mark();
     std::optional<util::ScopedSpan> slot_span;
     slot_span.emplace("sim.slot");
     slot_span->arg("slot", static_cast<double>(t));
     slot_span->arg("run", static_cast<double>(run_index_));
     std::int64_t decision_ns = 0;
-    counters.slots.add();
 
+    // Pedestrian movement + handoff at GOP boundaries (not mid-GOP: block
+    // fading already models slot-scale variation; position changes at the
+    // play-out timescale).
     if (scenario_.mobility.step_stddev > 0.0 && t > 0 && t % T == 0) {
-      move_sessions(mobility_rng, report);
-      if (config_.verify_graph) {
-        topology_.check_active_graph_consistency();
-        ++report.graph_cross_checks;
-      }
+      move_users(mobility_rng, report);
+      verify_graph(report);
     }
 
     spectrum::SlotObservation obs;
@@ -319,79 +563,88 @@ EngineReport Engine::run() {
       const util::ScopedSpan sp("sim.slot.spectrum");
       obs = spectrum.observe_slot(t, spectrum_rng);
     }
+    if (fault_plan_.enabled()) apply_spectrum_faults(t, obs);
+    tally_.accessed += obs.available.size();
+    tally_.collided += obs.collisions();
+    tally_.sum_available += static_cast<double>(obs.available.size());
+    tally_.sum_expected += obs.expected_available;
 
     if (config_.churn.enabled()) {
       process_departures(t, report);
       run_arrivals(t, obs.expected_available, churn_rng, report);
-      if (config_.verify_graph) {
-        topology_.check_active_graph_consistency();
-        ++report.graph_cross_checks;
-      }
+      verify_graph(report);
     }
 
-    if (topology_.active_graph().version() != seen_version) {
-      seen_version = topology_.active_graph().version();
-      graph_components = topology_.active_graph().components().size();
+    if (t == 0 || graph().version() != seen_version) {
+      seen_version = graph().version();
+      components = graph().components().size();
     }
-    report.max_components = std::max(report.max_components, graph_components);
+    report.max_components = std::max(report.max_components, components);
     report.peak_sessions = std::max(report.peak_sessions, sessions_.size());
 
     if (sessions_.empty()) {
       // Nothing to serve: the spectrum keeps evolving, the slot is free.
       ++report.idle_slots;
-      counters.idle_slots.add();
-      slot_span.reset();
-      util::SlotPostmortemContext pm;
-      pm.run = run_index_;
-      pm.slot = t;
-      pm.latency_ns = 0;
-      util::trace_flight_record_slot(pm, slot_mark);
-      continue;
-    }
-
-    for (auto& s : sessions_) s.video.begin_slot(t);
-
-    core::SlotContext ctx = make_context(obs, fading_rng);
-    core::SlotAllocation alloc;
-    {
-      const util::ScopedSpan sp("sim.slot.allocate");
-      const bool timed = util::metrics_enabled() || util::trace_enabled();
-      const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
-      alloc = scheme_->allocate(ctx);
-      if (timed) {
-        decision_ns = util::monotonic_now_ns() - begin_ns;
-        t_allocate.record_ns(decision_ns);
-        h_latency.observe(static_cast<double>(decision_ns));
-        latencies.push_back(decision_ns);
+    } else {
+      for (auto& s : sessions_) {
+        s.video.begin_slot(t);
+        if (s.packets) s.packets->begin_slot(t);
+        if (s.bound) s.bound->compounded.begin_slot(t);
       }
-    }
-    report.total_dual_iterations += alloc.dual_iterations;
-
-    // Fluid delivery under expected-channel accounting — the Simulator's
-    // math, minus the bound trajectory and energy ledger the figures need.
-    for (std::size_t j = 0; j < sessions_.size(); ++j) {
-      const core::UserState& u = ctx.users[j];
-      double increment = 0.0;
-      if (alloc.use_mbs[j]) {
-        if (u.sinr_mbs > H) increment = alloc.rho_mbs[j] * u.rate_mbs;
-      } else if (u.sinr_fbs > H) {
-        increment =
-            alloc.rho_fbs[j] * alloc.effective_channels(ctx, j) * u.rate_fbs;
+      const core::SlotContext ctx = make_context(obs, fading_rng, t);
+      core::SlotAllocation alloc;
+      {
+        // Manual stopwatch instead of a ScopedTimer: the same reading feeds
+        // the timer, the latency histogram, and the per-run SLO fold.
+        const util::ScopedSpan sp("sim.slot.allocate");
+        const bool timed = util::metrics_enabled() || util::trace_enabled();
+        const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
+        if (fault_plan_.enabled() && fault_plan_.control_loss(t)) {
+          // Control/feedback loss: the coordinator's decision never reaches
+          // the base stations this slot, and each falls back to the local
+          // equal-share rule it can compute without the control channel.
+          note_fault(fault_counters().control_losses,
+                     "sim.faults.control_losses");
+          alloc = core::heuristic_equal_allocation(ctx);
+        } else {
+          alloc = scheme_->allocate(ctx);
+        }
+        if (timed) {
+          decision_ns = util::monotonic_now_ns() - begin_ns;
+          t_allocate.record_ns(decision_ns);
+          h_latency.observe(static_cast<double>(decision_ns));
+          latencies.push_back(decision_ns);
+        }
       }
-      FEMTOCR_DCHECK_FINITE(increment, "delivered PSNR increment is NaN/inf");
-      FEMTOCR_DCHECK_GE(increment, 0.0, "delivered PSNR increment negative");
-      sessions_[j].video.deliver(increment);
-      sessions_[j].video.end_slot(t);
+#if FEMTOCR_DCHECK_IS_ON()
+      dcheck_slot_allocation(ctx, alloc);
+#endif
+      report.total_dual_iterations += alloc.dual_iterations;
+      h_gap.observe(std::max(0.0, alloc.upper_bound - alloc.objective));
+      gop_bump_sum += (alloc.upper_bound - alloc.objective) /
+                      static_cast<double>(sessions_.size());
+      const util::ScopedTimer deliver_timer(t_deliver);
+      const util::ScopedSpan deliver_span("sim.slot.deliver");
+      deliver(t, obs, ctx, alloc, components);
     }
 
     // GOP-boundary readout: every live session's window closed this slot.
+    // The state-following bound inflates the delivered W_T once by the
+    // GOP's mean per-slot optimality slack.
     if ((t + 1) % T == 0) {
-      for (const auto& s : sessions_) {
-        psnr_sum += s.video.gop_history().back();
+      const double bump = std::exp(gop_bump_sum / static_cast<double>(T));
+      for (auto& s : sessions_) {
+        const double delivered = s.gop_history().back();
+        psnr_sum += delivered;
         ++report.completed_gops;
+        if (s.bound) s.bound->state_following.add(delivered * bump);
       }
+      gop_bump_sum = 0.0;
     }
 
+    // Close the slot span, then harvest: any anomaly note a fault or
+    // solver-fallback site tagged during this slot freezes the slot's span
+    // subtree (sim.slot included) into the postmortem pool.
     slot_span.reset();
     util::SlotPostmortemContext pm;
     pm.run = run_index_;
@@ -407,6 +660,11 @@ EngineReport Engine::run() {
   report.decision_latency_p50_ns = slo.p50_ns;
   report.decision_latency_p90_ns = slo.p90_ns;
   report.decision_latency_p99_ns = slo.p99_ns;
+  if (batch_) {
+    util::metrics().counter("sim.slots").add(report.slots);
+  } else {
+    publish_engine_counters(report);
+  }
   return report;
 }
 

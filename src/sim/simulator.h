@@ -1,25 +1,27 @@
-// Slot-by-slot discrete-event simulator (paper Section V methodology).
+// Batch slot driver: a fixed user population over a fixed horizon (paper
+// Section V methodology).
 //
-// Per slot: primary channels evolve and are sensed (SpectrumManager); block
-// fading realizes one SINR per link; the configured scheme allocates; every
-// user's video session receives its realized PSNR increment; at GOP
-// deadlines the delivered quality is recorded. A parallel "bound
-// trajectory" reconstructs the paper's Eq.-(23) upper-bound curves for the
-// Proposed scheme (see EXPERIMENTS.md for the exact transformation).
+// The Simulator runs the one slot loop of sim/engine.h with churn off, for
+// gop_deadline * num_gops slots, with the scheme under test, against the
+// static coverage graph, and folds the loop's state into a RunResult: the
+// per-user delivered GOP PSNR, the paper's Eq.-(23) upper-bound curves from
+// the loop's parallel "bound trajectory" (see EXPERIMENTS.md for the exact
+// transformation), collision and channel statistics, and the energy ledger.
+// Fault profiles (sim/faults.h) and slot traces (sim/trace.h) act inside
+// the loop.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/scheme.h"
 #include "net/topology.h"
-#include "sim/faults.h"
+#include "sim/engine.h"
 #include "sim/scenario.h"
 #include "sim/trace.h"
-#include "video/packet_stream.h"
-#include "video/session.h"
 
 namespace femtocr::sim {
 
@@ -76,7 +78,7 @@ class Simulator {
 
   /// Optional: record one SlotTraceEntry per slot into `recorder` (must
   /// outlive run()). Pass nullptr to detach.
-  void attach_trace(TraceRecorder* recorder) { trace_ = recorder; }
+  void attach_trace(TraceRecorder* recorder) { loop_.trace_ = recorder; }
 
   /// Warm-start plumbing across simulators: seeds the scheme's dual-price
   /// carry before the first slot (no-op for stateless schemes) and exposes
@@ -84,46 +86,16 @@ class Simulator {
   /// by sim::sweep's opt-in price-carry chains (adjacent sweep points drift
   /// slowly, so the previous point's prices land near the next optimum).
   void seed_prices(std::vector<double> lambda) {
-    scheme_->seed_prices(std::move(lambda));
+    loop_.scheme_->seed_prices(std::move(lambda));
   }
   const std::vector<double>* final_prices() const {
-    return scheme_->carried_prices();
+    return loop_.scheme_->carried_prices();
   }
 
-  const net::Topology& topology() const { return topology_; }
+  const net::Topology& topology() const { return loop_.topology(); }
 
  private:
-  core::SlotContext make_context(const spectrum::SlotObservation& obs,
-                                 util::Rng& fading_rng, std::size_t slot);
-
-  /// Applies the slot's spectrum-side faults to `obs` in place: primary
-  /// bursts flip ground truth to busy behind the posteriors' back; a
-  /// sensing outage freezes the previous slot's posteriors and re-realizes
-  /// the Eq. (7) access decisions against them (collision budget intact by
-  /// construction). No-op without an enabled plan.
-  void apply_spectrum_faults(std::size_t slot, spectrum::SlotObservation& obs);
-
-  /// Gaussian per-GOP user movement within the deployment's bounding box,
-  /// followed by a topology rebuild (links + nearest-FBS re-association).
-  void move_users(util::Rng& rng);
-
-  Scenario scenario_;  ///< copied: the simulator outlives the caller's config
-  core::SchemeKind kind_;
-  std::size_t run_index_ = 0;  ///< postmortem identity for the flight recorder
-  net::Topology topology_;
-  std::unique_ptr<core::Scheme> scheme_;
-  util::Rng rng_;
-  /// Fault layer (sim/faults.h). The plan is realized once per run from a
-  /// dedicated seed universe; fault_rng_ only ever draws when the plan is
-  /// enabled, so disabled runs are bitwise identical to pre-fault builds.
-  FaultPlan fault_plan_;
-  util::Rng fault_rng_;
-  std::vector<double> last_posteriors_;  ///< frozen under sensing outages
-  std::vector<video::VideoSession> sessions_;
-  std::vector<video::VideoSession> bound_sessions_;
-  /// Populated only under DeliveryModel::kPacket.
-  std::vector<video::PacketStream> packet_streams_;
-  TraceRecorder* trace_ = nullptr;
+  Engine loop_;  ///< the slot loop, built in batch mode
 };
 
 }  // namespace femtocr::sim

@@ -1,12 +1,20 @@
 // Online allocation engine (sim/engine.h): determinism across thread
 // counts, churn accounting, both admission-rejection paths, graph
-// verification, and survival of zero-session stretches.
+// verification, survival of zero-session stretches, equivalence with the
+// batch driver, fault profiles, and each driver's counter set.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+#include <string>
 
+#include "sim/config_io.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
+#include "sim/simulator.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace femtocr::sim {
@@ -152,16 +160,131 @@ TEST(Engine, SurvivesZeroSessionStretches) {
 
 TEST(Engine, NoChurnMatchesInitialPopulationServing) {
   // arrival_rate 0 disables churn: the initial population runs to the
-  // horizon, nobody departs, no idle slots.
-  const Scenario s = churn_scenario();
+  // horizon, nobody departs, no idle slots — and without mobility the
+  // active graph equals the static one, so the engine is the batch driver
+  // slot for slot. The two reports fold the same GOP readouts in a
+  // different order (all readouts vs per-user means), hence the relative
+  // tolerance on the PSNR; the solver work must match exactly.
+  for (const bool distributed : {false, true}) {
+    SCOPED_TRACE(distributed ? "dual solver" : "greedy + water-fill");
+    Scenario s = fig1_scenario(1);
+    s.use_distributed_solver = distributed;
+    s.finalize();
+    EngineConfig cfg;
+    cfg.slots = s.gop_deadline * s.num_gops;
+    const EngineReport rep = Engine(s, cfg, 0).run();
+    EXPECT_EQ(rep.arrivals, 0u);
+    EXPECT_EQ(rep.departures, 0u);
+    EXPECT_EQ(rep.idle_slots, 0u);
+    EXPECT_EQ(rep.peak_sessions, s.users.size());
+    EXPECT_GT(rep.mean_psnr, 0.0);
+
+    const RunResult batch =
+        Simulator(s, core::SchemeKind::kProposed, 0).run();
+    EXPECT_EQ(rep.total_dual_iterations, batch.total_dual_iterations);
+    EXPECT_EQ(rep.max_components, batch.max_components);
+    EXPECT_NEAR(rep.mean_psnr, batch.mean_psnr, 1e-12 * batch.mean_psnr);
+  }
+}
+
+TEST(Engine, BatchDriverKeepsTheStaticGraph) {
+  // The one driver-fixed difference: the engine allocates against the
+  // active graph, the batch driver against the static coverage graph. On
+  // this seed a handoff empties a cell; only the engine drops its edges.
+  Scenario s = fig1_scenario(2);
+  s.mobility.step_stddev = 3.0;
+  s.finalize();
   EngineConfig cfg;
-  cfg.slots = 60;
-  const EngineReport rep = Engine(s, cfg, 0).run();
-  EXPECT_EQ(rep.arrivals, 0u);
-  EXPECT_EQ(rep.departures, 0u);
-  EXPECT_EQ(rep.idle_slots, 0u);
-  EXPECT_EQ(rep.peak_sessions, s.users.size());
-  EXPECT_GT(rep.mean_psnr, 0.0);
+  cfg.slots = s.gop_deadline * s.num_gops;
+  const EngineReport online = Engine(s, cfg, 0).run();
+  const RunResult batch = Simulator(s, core::SchemeKind::kProposed, 0).run();
+  EXPECT_EQ(online.max_components, 4u);
+  EXPECT_EQ(batch.max_components, 3u);
+  EXPECT_NEAR(online.mean_psnr, 34.97602, 5e-5);
+  EXPECT_NEAR(batch.mean_psnr, 34.97950, 5e-5);
+}
+
+/// Registry counter total by name; 0 when it was never registered.
+std::uint64_t counter_total(const std::string& name) {
+  for (const auto& [n, v] : util::metrics().snapshot().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+struct MetricsEnabledGuard {
+  bool prev = util::metrics_enabled();
+  MetricsEnabledGuard() { util::set_metrics_enabled(true); }
+  ~MetricsEnabledGuard() { util::set_metrics_enabled(prev); }
+};
+
+TEST(Engine, FaultProfilesReachTheEngine) {
+  ThreadDefaultGuard guard;
+  const MetricsEnabledGuard metrics_on;
+  std::ifstream in(std::string(FEMTOCR_SOURCE_DIR) +
+                   "/tools/profiles/chaos_smoke.cfg");
+  ASSERT_TRUE(in) << "chaos_smoke.cfg not found";
+  std::ostringstream text;
+  text << in.rdbuf();
+  Scenario s = churn_scenario();
+  apply_fault_profile_string(text.str(), s);
+  s.finalize();
+  const EngineConfig cfg = churn_config();
+
+  util::set_default_threads(1);
+  util::metrics().reset();
+  const EngineReport reference = Engine(s, cfg, 0).run();
+  for (const char* name :
+       {"sim.faults.sensing_outages", "sim.faults.control_losses",
+        "sim.faults.fbs_outages", "sim.faults.primary_bursts",
+        "sim.faults.budget_squeezes"}) {
+    EXPECT_GT(counter_total(name), 0u) << name;
+  }
+  EXPECT_GT(reference.admitted, 0u);
+  EXPECT_GT(reference.departures, 0u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    util::set_default_threads(threads);
+    expect_reports_identical(reference, Engine(s, cfg, 0).run());
+  }
+
+  // A profile whose every rate is zero is off: bitwise the fault-free run.
+  const Scenario plain = churn_scenario();
+  Scenario disabled = plain;
+  apply_fault_profile_string(
+      "fault_sensing_outage_slots = 4\n"
+      "fault_fbs_outage_slots = 3\n"
+      "fault_budget_squeeze_iterations = 7\n",
+      disabled);
+  disabled.finalize();
+  util::metrics().reset();
+  expect_reports_identical(Engine(plain, cfg, 0).run(),
+                           Engine(disabled, cfg, 0).run());
+  EXPECT_EQ(counter_total("sim.faults.budget_squeezes"), 0u);
+}
+
+TEST(Engine, DriversKeepTheirOwnCounterSets) {
+  // Each driver bumps only its own slot tallies: the benchmark compares
+  // every non-sim.engine.* counter of Engine::run() with a replay that
+  // never bumps sim.slots.
+  const MetricsEnabledGuard metrics_on;
+  const Scenario s = churn_scenario();
+  const EngineConfig cfg = churn_config();
+
+  util::metrics().reset();
+  const EngineReport online = Engine(s, cfg, 0).run();
+  EXPECT_EQ(counter_total("sim.slots"), 0u);
+  EXPECT_EQ(counter_total("sim.engine.slots"), online.slots);
+  EXPECT_EQ(counter_total("sim.engine.handoffs"), online.handoffs);
+  EXPECT_GT(online.handoffs, 0u);
+
+  util::metrics().reset();
+  const RunResult batch = Simulator(s, core::SchemeKind::kProposed, 0).run();
+  EXPECT_EQ(counter_total("sim.slots"), batch.slots);
+  for (const auto& [name, value] : util::metrics().snapshot().counters) {
+    if (name.rfind("sim.engine.", 0) == 0) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
 }
 
 }  // namespace
