@@ -1,4 +1,4 @@
-// femtocr:inner-loop-tu — Table III evaluates Q(c) for every surviving
+// femtocr:inner-loop-tu — Table III evaluates Q(c) for every undominated
 // candidate pair each round; the scan runs through scratch buffers and
 // parallel_for, with no per-candidate heap allocation.
 #include "core/greedy.h"
@@ -19,11 +19,42 @@
 
 namespace femtocr::core {
 
+namespace {
+
+#if FEMTOCR_DCHECK_IS_ON()
+/// Dominance verifier: solves every candidate the round pruned and checks
+/// it cannot beat the kept candidate of its FBS by more than rounding. Q is
+/// monotone in G_i in exact arithmetic; a larger gap is a counterexample
+/// to the pruning, not noise.
+void verify_dominance(const SlotContext& ctx, const SlotCache& cache,
+                      GreedyScratch& gs) {
+  std::size_t r = 0;  // kept index of the current FBS group
+  for (std::size_t k = 0; k < gs.candidates.size(); ++k) {
+    const auto [i, a] = gs.candidates[k];
+    while (gs.candidates[gs.kept[r]].first != i) ++r;
+    if (gs.kept[r] == k) continue;
+    gs.trial.assign(gs.gt.begin(), gs.gt.end());
+    gs.trial[i] += ctx.posterior[a];
+    const double q = waterfill_solve_objective(ctx, cache, gs.trial);
+    const double q_kept = gs.objectives[gs.kept[r]];
+    FEMTOCR_DCHECK_LE(
+        q,
+        q_kept + 8.0 * std::numeric_limits<double>::epsilon() *
+                     std::max(1.0, std::abs(q_kept)),
+        "a pruned greedy candidate beats its FBS's max-posterior candidate");
+  }
+}
+#endif
+
+}  // namespace
+
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   static util::Counter& c_allocs =
       util::metrics().counter("core.greedy.allocations");
   static util::Counter& c_cand_evals =
       util::metrics().counter("core.greedy.candidate_evals");
+  static util::Counter& c_pruned =
+      util::metrics().counter("core.greedy.candidates_pruned");
   static util::Histogram& h_gap =
       util::metrics().histogram("core.greedy.bound_gap");
   static util::TimerStat& t_alloc =
@@ -61,15 +92,40 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
 
   while (!gs.candidates.empty()) {
     // Table III step 3: argmax over remaining pairs of Q(c + e) - Q(c).
-    // Candidate solves are independent given the shared read-only cache, so
-    // they fan out across the pool; each worker fills only its own slot of
-    // the objective buffer (and uses its own thread-local scratch), and the
-    // argmax below folds the buffer serially in candidate order — the same
-    // first-strict-maximum the sequential scan produced.
+    // A candidate's trial vector differs from gt only in gt[i] +=
+    // posterior[a], and Q is non-decreasing in G_i, so within one FBS the
+    // first candidate with the largest posterior reaches the FBS's best Q
+    // (equal posteriors give bit-identical trials) and the others are
+    // dominated. Where Q is flat in G_i (the FBS's users all stay on the
+    // MBS) a dominated candidate ties it exactly; the max-posterior one is
+    // taken. Candidates stay grouped by FBS in channel-position order
+    // (built that way; erase_if keeps the order), so one pass keeps the
+    // first max-posterior candidate per FBS and the rest are never solved.
     const std::size_t n_candidates = gs.candidates.size();
-    c_cand_evals.add(n_candidates);
-    gs.objectives.resize(n_candidates);
-    util::parallel_for(n_candidates, [&](std::size_t k) {
+    gs.kept.clear();
+    for (std::size_t k = 0; k < n_candidates; ++k) {
+      const auto [i, a] = gs.candidates[k];
+      if (gs.kept.empty() || gs.candidates[gs.kept.back()].first != i) {
+        gs.kept.push_back(k);
+      } else if (ctx.posterior[a] >
+                 ctx.posterior[gs.candidates[gs.kept.back()].second]) {
+        gs.kept.back() = k;
+      }
+    }
+    const std::size_t n_kept = gs.kept.size();
+    c_cand_evals.add(n_kept);
+    c_pruned.add(n_candidates - n_kept);
+
+    // Kept solves are independent given the shared read-only cache, so
+    // they fan out across the pool; each worker fills only its candidate's
+    // slot of the objective buffer (and uses its own thread-local scratch),
+    // and the argmax below folds the buffer serially in candidate order —
+    // the same first-strict-maximum the sequential scan produced. Pruned
+    // slots hold -inf and never win.
+    gs.objectives.assign(n_candidates,
+                         -std::numeric_limits<double>::infinity());
+    util::parallel_for(n_kept, [&](std::size_t r) {
+      const std::size_t k = gs.kept[r];
       const auto [i, a] = gs.candidates[k];
       std::vector<double>& trial = slot_scratch().greedy.trial;
       trial.assign(gs.gt.begin(), gs.gt.end());
@@ -85,6 +141,9 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
         best_idx = k;
       }
     }
+#if FEMTOCR_DCHECK_IS_ON()
+    verify_dominance(ctx, cache, gs);
+#endif
 
     // Re-materialize the winner: the solve is deterministic, so this is the
     // bit-exact allocation behind gs.objectives[best_idx].

@@ -41,10 +41,11 @@ GreedyResult greedy_allocate(const SlotContext& ctx);
 
 /// Same allocation against a prebuilt per-slot cache (core/slot_cache.h),
 /// bit-identical to the overload above. The candidate argmax of each round
-/// evaluates Q(c + e) for the surviving pairs through util::parallel_for
-/// (objective-only solves into an index-addressed buffer, argmax folded
-/// serially in candidate order), so results do not depend on the thread
-/// count.
+/// evaluates Q(c + e) only for the first max-posterior surviving pair of
+/// each FBS (the others are dominated: Q is monotone in G_i) through
+/// util::parallel_for (objective-only solves into an index-addressed buffer,
+/// argmax folded serially in candidate order), so results do not depend on
+/// the thread count.
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache);
 
 }  // namespace femtocr::core

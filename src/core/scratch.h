@@ -109,11 +109,13 @@ struct AssignScratch {
   std::vector<unsigned char> use_mbs;  ///< trial assignment (bit-twiddle-free)
 };
 
-/// greedy_allocate's working set: the candidate list, the per-candidate
-/// objective buffer the parallel evaluation fills, and per-thread trial
-/// expected-channel vectors.
+/// greedy_allocate's working set: the candidate list, the indices of the
+/// candidates a round actually solves, the per-candidate objective buffer
+/// the parallel evaluation fills, and per-thread trial expected-channel
+/// vectors.
 struct GreedyScratch {
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
+  std::vector<std::size_t> kept;   ///< undominated candidate indices, in order
   std::vector<double> objectives;  ///< slot k = candidate k's Q, fold serial
   std::vector<double> trial;       ///< per-thread trial G vector
   std::vector<double> gt;          ///< accumulated expected channel counts
