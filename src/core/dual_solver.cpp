@@ -15,19 +15,11 @@
 #include "util/check.h"
 #include "util/mathx.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace femtocr::core {
 
 namespace {
-
-/// Below this user count the per-iteration pass stays a plain loop: the
-/// pool dispatch would cost more than the K subproblems it distributes.
-constexpr std::size_t kParallelUserCutoff = 192;
-/// Users per parallel chunk; chunks are contiguous index ranges so the
-/// fixed-order fold below is just the natural j loop.
-constexpr std::size_t kUserChunk = 128;
 
 /// One user's Table I steps 3-8 against the per-solve tables, writing the
 /// branch choice into the SoA output buffers. Bitwise identical to
@@ -123,58 +115,23 @@ inline ShareAdd solve_user_cached(const SlotCache& cache, DualScratch& ds,
 }
 
 /// One pass of user subproblems at the current prices, accumulating the
-/// per-resource share sums in user index order — the same accumulation
-/// order as the original single loop, so sums are bit-identical for any
-/// thread count. Three shapes, one result:
-///
-///   * parallel (large K, pool has workers): chunked parallel_for writes
-///     the index-addressed choice buffers, then a serial fold adds them
-///     in j order;
-///   * serial + store_choices: one fused loop, adds interleaved in the
-///     same j order (each sums[i] accumulator sees the identical ordered
-///     add sequence, so fusing cannot change a bit);
-///   * serial iteration passes: the same fused loop minus the choice
-///     stores — the subgradient update only reads the sums, and the
-///     primal recovery pass at the end re-materializes the choices.
+/// per-resource share sums in user index order, on the calling thread.
+/// The choice stores only run on the primal recovery pass: the subgradient
+/// update reads the sums alone. The pass is serial on purpose: one pass
+/// is a few microseconds, less than a pool dispatch costs, so a per-user
+/// fan-out made every subgradient iteration slower at any thread count
+/// (docs/DEVELOPING.md, rule 3).
+template <bool Store>
 void user_best_responses(const SlotContext& ctx, const SlotCache& cache,
-                         DualScratch& ds, const std::vector<double>& lambda,
-                         bool store_choices) {
+                         DualScratch& ds, const std::vector<double>& lambda) {
   const std::size_t K = ctx.users.size();
   const double lambda_mbs = lambda[0];
   std::fill(ds.sums.begin(), ds.sums.end(), 0.0);
-  // The pool pays a dispatch fee per call, and this runs once per
-  // subgradient iteration — only fan out when there are workers to feed
-  // AND enough users to amortize the fee. Values are identical either
-  // way: chunks are contiguous index ranges into the same buffer.
-  if (K >= kParallelUserCutoff && util::default_threads() > 1) {
-    const std::size_t chunks = (K + kUserChunk - 1) / kUserChunk;
-    util::parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t hi = std::min(K, (c + 1) * kUserChunk);
-      for (std::size_t j = c * kUserChunk; j < hi; ++j) {
-        solve_user_cached<true>(cache, ds, j, lambda_mbs,
-                                lambda[ds.fbsi[j] + 1]);
-      }
-    });
-    for (std::size_t j = 0; j < K; ++j) {
-      ds.sums[0] += ds.choice_rho_mbs[j];
-      ds.sums[ds.fbsi[j] + 1] += ds.choice_rho_fbs[j];
-    }
-  } else if (store_choices) {
-    for (std::size_t j = 0; j < K; ++j) {
-      const ShareAdd a =
-          solve_user_cached<true>(cache, ds, j, lambda_mbs,
-                                  lambda[ds.fbsi[j] + 1]);
-      ds.sums[0] += a.mbs;
-      ds.sums[ds.fbsi[j] + 1] += a.fbs;
-    }
-  } else {
-    for (std::size_t j = 0; j < K; ++j) {
-      const ShareAdd a =
-          solve_user_cached<false>(cache, ds, j, lambda_mbs,
-                                   lambda[ds.fbsi[j] + 1]);
-      ds.sums[0] += a.mbs;
-      ds.sums[ds.fbsi[j] + 1] += a.fbs;
-    }
+  for (std::size_t j = 0; j < K; ++j) {
+    const ShareAdd a = solve_user_cached<Store>(cache, ds, j, lambda_mbs,
+                                                lambda[ds.fbsi[j] + 1]);
+    ds.sums[0] += a.mbs;
+    ds.sums[ds.fbsi[j] + 1] += a.fbs;
   }
 }
 
@@ -213,7 +170,7 @@ void rescale_to_budgets(const SlotContext& ctx, DualScratch& ds,
 double recover_primal(const SlotContext& ctx, const SlotCache& cache,
                       DualScratch& ds, const std::vector<double>& lambda,
                       SlotAllocation& alloc) {
-  user_best_responses(ctx, cache, ds, lambda, /*store_choices=*/true);
+  user_best_responses<true>(ctx, cache, ds, lambda);
   for (std::size_t j = 0; j < ctx.users.size(); ++j) {
     alloc.use_mbs[j] = ds.choice_use_mbs[j] != 0;
     alloc.rho_mbs[j] = ds.choice_rho_mbs[j];
@@ -428,7 +385,7 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   double step = options.step_size;
   for (std::size_t attempt = 0;; ++attempt) {
     for (std::size_t tau = 0; tau < options.max_iterations; ++tau) {
-      user_best_responses(ctx, cache, ds, ds.lambda, /*store_choices=*/false);
+      user_best_responses<false>(ctx, cache, ds, ds.lambda);
 
       // Eq. (16)/(18)/(19): lambda_i <- [lambda_i - s (1 - sum_j rho_ij)]^+.
       for (std::size_t i = 0; i < num_prices; ++i) {

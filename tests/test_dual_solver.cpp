@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/dual_solver.h"
 #include "core/waterfill.h"
 #include "test_helpers.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace femtocr::core {
@@ -389,6 +392,67 @@ TEST(DualSolver, WarmChainStaysWithinPropertyBound) {
       EXPECT_LE(d->allocation.objective, e.objective + 1e-6)
           << "slot " << slot;
       EXPECT_GE(d->allocation.objective, 0.99 * e.objective) << "slot " << slot;
+    }
+  }
+}
+
+/// Bit patterns of a double vector: EXPECT_EQ on doubles would call -0.0
+/// equal to +0.0, and the thread-count invariance below is bitwise.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+struct ThreadDefaultGuard {
+  ~ThreadDefaultGuard() { util::set_default_threads(0); }
+};
+
+TEST(DualSolver, LargeSolveIsThreadCountInvariant) {
+  // The subgradient pass runs on the calling thread, so a solve must not
+  // depend on the pool's size by a single bit. The contexts sit at the
+  // user counts where a per-user fan-out would pay off if it ever did: a
+  // fleet-like edgeless deployment (224 users in 56 FBSs) and 500 users
+  // in 16 FBSs. Each gets a converged solve and a budget-capped orbit
+  // recovered through best-iterate tracking.
+  const ThreadDefaultGuard guard;
+  struct Shape {
+    std::size_t users, fbs;
+  };
+  util::Rng rng(613);
+  for (const Shape shape : {Shape{224, 56}, Shape{500, 16}}) {
+    auto f = test::random_context(rng, shape.users, shape.fbs, 8);
+    const std::vector<double> gt(shape.fbs, f.ctx.total_expected_channels());
+    DualOptions converging = tuned();
+    DualOptions capped = tuned();
+    capped.step_size = 0.05;
+    capped.max_iterations = 400;
+    capped.track_best_iterate = true;
+    capped.best_iterate_stride = 7;
+    for (const DualOptions* o : {&converging, &capped}) {
+      const bool expect_converged = o == &converging;
+      util::set_default_threads(1);
+      const DualResult ref = solve_dual(f.ctx, gt, *o);
+      ASSERT_EQ(ref.converged, expect_converged) << shape.users << " users";
+      ASSERT_EQ(ref.recovery, expect_converged ? DualRecovery::kConverged
+                                               : DualRecovery::kBestIterate)
+          << shape.users << " users";
+      for (const std::size_t threads : {2, 8}) {
+        util::set_default_threads(threads);
+        const DualResult d = solve_dual(f.ctx, gt, *o);
+        SCOPED_TRACE(::testing::Message() << shape.users << " users, "
+                                          << threads << " threads");
+        EXPECT_EQ(d.converged, ref.converged);
+        EXPECT_EQ(d.iterations, ref.iterations);
+        EXPECT_EQ(d.recovery, ref.recovery);
+        EXPECT_EQ(bits(d.lambda), bits(ref.lambda));
+        EXPECT_EQ(d.allocation.use_mbs, ref.allocation.use_mbs);
+        EXPECT_EQ(bits(d.allocation.rho_mbs), bits(ref.allocation.rho_mbs));
+        EXPECT_EQ(bits(d.allocation.rho_fbs), bits(ref.allocation.rho_fbs));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d.allocation.objective),
+                  std::bit_cast<std::uint64_t>(ref.allocation.objective));
+      }
     }
   }
 }

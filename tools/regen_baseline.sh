@@ -17,13 +17,16 @@
 #
 # Env knobs: BUILD_DIR (default build-release), RUNS (default 3), GRIDS
 # (default "smoke city" — set GRIDS=city to refresh only the city baseline
-# when the smoke numbers are still representative).
+# when the smoke numbers are still representative), FEMTOCR_THREADS
+# (default 1, the thread count the committed baselines were made at; a
+# different count moves every timer row of the diff table).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-release}"
 RUNS="${RUNS:-3}"
 GRIDS="${GRIDS:-smoke city}"
+export FEMTOCR_THREADS="${FEMTOCR_THREADS:-1}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >&2
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target stress_scale >&2
@@ -40,10 +43,11 @@ diff_md="docs/BASELINE_DIFF.md"
   echo '# Baseline regeneration diff'
   echo
   echo "Produced by \`tools/regen_baseline.sh\` ($RUNS runs per grid, min"
-  echo 'per timer) against the previously committed baselines. This file'
-  echo 'must be refreshed in the same commit as any `BENCH_baseline*.json`'
-  echo "change — CI's baseline-guard job fails the PR otherwise — so every"
-  echo 'baseline bump carries its own review evidence.'
+  echo "per timer, FEMTOCR_THREADS=$FEMTOCR_THREADS) against the previously"
+  echo 'committed baselines. This file must be refreshed in the same commit'
+  echo 'as any `BENCH_baseline*.json` change — CI'"'"'s baseline-guard job'
+  echo 'fails the PR otherwise — so every baseline bump carries its own'
+  echo 'review evidence.'
 } > "$diff_md"
 
 for grid in $GRIDS; do
