@@ -12,9 +12,9 @@ summaries otherwise:
 Only the ``fig*`` tags are plotted (the ablation tables are text-first);
 values like ``34.31 +/- 0.08`` are split into mean and 95% CI error bars.
 
-A per-slot trace CSV (sim::TraceRecorder::write_csv / the examples' trace
-dumps) can be plotted with ``--trace``: the slot's Eq. (23) bound gap
-(``bound_gap`` column, precomputed by the simulator) over time:
+A per-slot log CSV (sim::SlotLog::write_csv) can be plotted with
+``--trace``: the slot's Eq. (23) bound gap (``bound_gap`` column,
+precomputed by the simulator) over time:
 
     python3 scripts/plot_figures.py --trace trace.csv --outdir plots/
 """
@@ -125,7 +125,7 @@ def plot_fig4a(rows, outdir, plt):
 
 
 def parse_trace_csv(lines):
-    """Per-slot (slot, bound_gap) pairs from a TraceRecorder CSV dump.
+    """Per-slot (slot, bound_gap) pairs from a SlotLog CSV dump.
 
     The trace repeats slot-level columns once per user; slots deduplicate
     on the slot id. Returns [] when there is no bound_gap column.
@@ -164,7 +164,7 @@ def run_trace_mode(path, outdir):
         lines = f.readlines()
     pairs = parse_trace_csv(lines)
     if not pairs:
-        print("no bound_gap column found — is this a TraceRecorder CSV?",
+        print("no bound_gap column found — is this a SlotLog CSV?",
               file=sys.stderr)
         return 1
     try:

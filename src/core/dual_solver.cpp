@@ -279,8 +279,7 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   static util::Histogram& h_iters =
       util::metrics().histogram("core.dual.iterations_per_solve");
   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
-  const util::ScopedTimer timer(t_solve);
-  util::ScopedSpan span("core.dual.solve");
+  util::Scope scope(t_solve);
 
   // The cache's build() validated the context and the per-user contracts;
   // only the per-call arguments are checked here.
@@ -560,11 +559,11 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   // Solver context for the flight recorder: captured with the span when a
   // slot is frozen, so a postmortem shows what the solve did without
   // replaying it. Degradation rung encoding matches DualRecovery.
-  span.arg("iterations", static_cast<double>(result.iterations));
-  span.arg("converged", result.converged ? 1.0 : 0.0);
-  span.arg("recovery", static_cast<double>(static_cast<int>(result.recovery)));
-  span.arg("retries", static_cast<double>(result.retries));
-  span.arg("lambda0", result.lambda.empty() ? 0.0 : result.lambda[0]);
+  scope.arg("iterations", static_cast<double>(result.iterations));
+  scope.arg("converged", result.converged ? 1.0 : 0.0);
+  scope.arg("recovery", static_cast<double>(static_cast<int>(result.recovery)));
+  scope.arg("retries", static_cast<double>(result.retries));
+  scope.arg("lambda0", result.lambda.empty() ? 0.0 : result.lambda[0]);
 
   // Every FBS holds its assigned expected channel count; the channel id
   // lists are the caller's to fill (they depend on how gt was produced).

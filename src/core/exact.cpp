@@ -7,6 +7,7 @@
 #include "core/waterfill.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace femtocr::core {
 
@@ -16,7 +17,7 @@ ExactResult exact_allocate(const SlotContext& ctx, bool exhaustive_assignment,
       util::metrics().counter("core.exact.combinations");
   static util::TimerStat& t_alloc =
       util::metrics().timer("core.exact.allocate");
-  const util::ScopedTimer timer(t_alloc);
+  const util::Scope scope(t_alloc);
 
   ctx.validate();
   // One cache shared by every combination's solve (the odometer below can

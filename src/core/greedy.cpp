@@ -59,8 +59,7 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       util::metrics().histogram("core.greedy.bound_gap");
   static util::TimerStat& t_alloc =
       util::metrics().timer("core.greedy.allocate");
-  const util::ScopedTimer timer(t_alloc);
-  const util::ScopedSpan span("core.greedy.allocate");
+  const util::Scope scope(t_alloc);
   c_allocs.add();
 
   // The cache's build() validated the context; re-check only what is not

@@ -69,7 +69,8 @@ PriceBroadcast MbsAgent::on_reports(const std::vector<ShareReport>& reports,
 ProtocolResult run_protocol(const SlotContext& ctx,
                             const std::vector<double>& gt_per_fbs,
                             const DualOptions& options) {
-  util::ScopedSpan span("core.protocol.run");
+  static util::TimerStat& t_run = util::metrics().timer("core.protocol.run");
+  util::Scope scope(t_run);
   ctx.validate();
   FEMTOCR_CHECK(gt_per_fbs.size() == ctx.num_fbs,
                 "need one expected channel count per FBS");
@@ -125,9 +126,9 @@ ProtocolResult run_protocol(const SlotContext& ctx,
   alloc.dual_iterations = result.rounds;
   result.allocation = std::move(alloc);
   result.lambda = std::move(prices.lambda);
-  span.arg("rounds", static_cast<double>(result.rounds));
-  span.arg("converged", result.converged ? 1.0 : 0.0);
-  span.arg("uplink_messages", static_cast<double>(result.uplink_messages));
+  scope.arg("rounds", static_cast<double>(result.rounds));
+  scope.arg("converged", result.converged ? 1.0 : 0.0);
+  scope.arg("uplink_messages", static_cast<double>(result.uplink_messages));
   return result;
 }
 
@@ -135,7 +136,9 @@ ShardedProtocolResult run_protocol_sharded(const SlotContext& ctx,
                                            const ShardPlan& plan,
                                            const std::vector<double>& gt_per_fbs,
                                            const DualOptions& options) {
-  util::ScopedSpan span("core.protocol.run_sharded");
+  static util::TimerStat& t_run =
+      util::metrics().timer("core.protocol.run_sharded");
+  util::Scope scope(t_run);
   ctx.validate();
   FEMTOCR_CHECK(gt_per_fbs.size() == ctx.num_fbs,
                 "need one expected channel count per FBS");
@@ -176,9 +179,9 @@ ShardedProtocolResult run_protocol_sharded(const SlotContext& ctx,
     subs.push_back(r.allocation);
   }
   result.allocation = fold_component_allocations(ctx, problems, subs);
-  span.arg("components", static_cast<double>(problems.size()));
-  span.arg("rounds", static_cast<double>(result.rounds));
-  span.arg("converged", result.converged ? 1.0 : 0.0);
+  scope.arg("components", static_cast<double>(problems.size()));
+  scope.arg("rounds", static_cast<double>(result.rounds));
+  scope.arg("converged", result.converged ? 1.0 : 0.0);
   return result;
 }
 

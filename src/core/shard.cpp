@@ -178,8 +178,7 @@ ShardResult sharded_allocate(
     const SlotContext& ctx, const ShardPlan& plan, const ShardOptions& options,
     const std::vector<std::vector<double>>* warm_prices) {
   ShardMetrics& metrics = shard_metrics();
-  const util::ScopedTimer timer(metrics.solve);
-  util::ScopedSpan span("core.shard.solve");
+  util::Scope scope(metrics.solve);
 
   ShardResult result;
   const std::vector<ComponentProblem> problems =
@@ -194,9 +193,9 @@ ShardResult sharded_allocate(
   for (const auto& component : plan.components) {
     metrics.component_size.observe(static_cast<double>(component.size()));
   }
-  span.arg("components", static_cast<double>(num_components));
-  span.arg("max_component_size",
-           static_cast<double>(result.max_component_size));
+  scope.arg("components", static_cast<double>(num_components));
+  scope.arg("max_component_size",
+            static_cast<double>(result.max_component_size));
 
   // Concurrent component solves: worker c writes only slot c of the
   // pre-sized buffers; per-component caches keep the read-only tables

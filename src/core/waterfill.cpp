@@ -557,8 +557,7 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
       util::metrics().counter("core.waterfill.solves");
   static util::TimerStat& t_solve =
       util::metrics().timer("core.waterfill.solve");
-  const util::ScopedTimer timer(t_solve);
-  const util::ScopedSpan span("core.waterfill.solve");
+  const util::Scope scope(t_solve);
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);
@@ -577,8 +576,7 @@ double waterfill_solve_objective(const SlotContext& ctx,
       util::metrics().counter("core.waterfill.solves");
   static util::TimerStat& t_solve =
       util::metrics().timer("core.waterfill.solve");
-  const util::ScopedTimer timer(t_solve);
-  const util::ScopedSpan span("core.waterfill.solve");
+  const util::Scope scope(t_solve);
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);

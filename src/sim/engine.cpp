@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -225,6 +224,8 @@ bool Engine::admit(std::size_t t, phy::Point position,
   // plus the newcomer at the floor, given the slot's expected channel
   // supply? One cell, edgeless graph — within a cell the slot splits by
   // time shares, which is exactly qos_solve's program.
+  static util::TimerStat& t_admit = util::metrics().timer("sim.engine.admit");
+  const util::Scope scope(t_admit);
   const video::GopClock clock(scenario_.gop_deadline);
   core::SlotContext probe;
   const net::InterferenceGraph probe_graph(1);
@@ -388,17 +389,17 @@ void Engine::deliver(std::size_t t, const spectrum::SlotObservation& obs,
   const double slot_seconds =
       scenario_.gop_seconds / static_cast<double>(scenario_.gop_deadline);
 
-  SlotTraceEntry trace_entry;
-  if (trace_ != nullptr) {
-    trace_entry.slot = t;
-    trace_entry.gop = t / scenario_.gop_deadline;
-    trace_entry.available = obs.available.size();
-    trace_entry.expected_channels = obs.expected_available;
-    trace_entry.collisions = obs.collisions();
-    trace_entry.objective = alloc.objective;
-    trace_entry.upper_bound = alloc.upper_bound;
-    trace_entry.components = components;
-    trace_entry.users.resize(sessions_.size());
+  SlotLogEntry entry;
+  if (slot_log_ != nullptr) {
+    entry.slot = t;
+    entry.gop = t / scenario_.gop_deadline;
+    entry.available = obs.available.size();
+    entry.expected_channels = obs.expected_available;
+    entry.collisions = obs.collisions();
+    entry.objective = alloc.objective;
+    entry.upper_bound = alloc.upper_bound;
+    entry.components = components;
+    entry.users.resize(sessions_.size());
   }
 
   // Amplification ratio for the Eq.-(23) bound trajectory: the optimum's
@@ -479,8 +480,8 @@ void Engine::deliver(std::size_t t, const spectrum::SlotObservation& obs,
       b.end_slot(t);
     }
 
-    if (trace_ != nullptr) {
-      UserSlotTrace& ut = trace_entry.users[j];
+    if (slot_log_ != nullptr) {
+      UserSlotLog& ut = entry.users[j];
       ut.use_mbs = alloc.use_mbs[j];
       ut.rho = alloc.use_mbs[j] ? alloc.rho_mbs[j] : alloc.rho_fbs[j];
       ut.increment = increment;
@@ -490,12 +491,14 @@ void Engine::deliver(std::size_t t, const spectrum::SlotObservation& obs,
     s.video.end_slot(t);
     if (s.packets) s.packets->end_slot(t);
   }
-  if (trace_ != nullptr) trace_->record(std::move(trace_entry));
+  if (slot_log_ != nullptr) slot_log_->record(std::move(entry));
 }
 
 EngineReport Engine::run() {
+  static util::TimerStat& t_slot = util::metrics().timer("sim.slot");
   static util::TimerStat& t_spectrum =
       util::metrics().timer("sim.slot.spectrum");
+  static util::TimerStat& t_context = util::metrics().timer("sim.slot.context");
   static util::TimerStat& t_allocate =
       util::metrics().timer("sim.slot.allocate");
   static util::TimerStat& t_deliver = util::metrics().timer("sim.slot.deliver");
@@ -504,8 +507,7 @@ EngineReport Engine::run() {
   static util::Histogram& h_latency =
       util::metrics().histogram("sim.slot.decision_latency_ns");
   const char* run_name = batch_ ? "sim.run" : "sim.engine.run";
-  const util::ScopedTimer run_timer(util::metrics().timer(run_name));
-  const util::ScopedSpan run_span(run_name);
+  const util::Scope run_scope(util::metrics().timer(run_name));
 
   util::Rng spectrum_rng = rng_.split(0xA1);
   util::Rng fading_rng = rng_.split(0xB2);
@@ -540,13 +542,12 @@ EngineReport Engine::run() {
   std::size_t components = 0;
 
   for (std::size_t t = 0; t < config_.slots; ++t) {
-    // The slot span + ring mark open before any slot work so the flight
+    // The slot scope + ring mark open before any slot work so the flight
     // recorder's harvest at the slot boundary sees the whole subtree.
     const std::uint64_t slot_mark = util::trace_slot_mark();
-    std::optional<util::ScopedSpan> slot_span;
-    slot_span.emplace("sim.slot");
-    slot_span->arg("slot", static_cast<double>(t));
-    slot_span->arg("run", static_cast<double>(run_index_));
+    util::Scope slot_scope(t_slot);
+    slot_scope.arg("slot", static_cast<double>(t));
+    slot_scope.arg("run", static_cast<double>(run_index_));
     std::int64_t decision_ns = 0;
 
     // Pedestrian movement + handoff at GOP boundaries (not mid-GOP: block
@@ -559,8 +560,7 @@ EngineReport Engine::run() {
 
     spectrum::SlotObservation obs;
     {
-      const util::ScopedTimer st(t_spectrum);
-      const util::ScopedSpan sp("sim.slot.spectrum");
+      const util::Scope scope(t_spectrum);
       obs = spectrum.observe_slot(t, spectrum_rng);
     }
     if (fault_plan_.enabled()) apply_spectrum_faults(t, obs);
@@ -570,8 +570,12 @@ EngineReport Engine::run() {
     tally_.sum_expected += obs.expected_available;
 
     if (config_.churn.enabled()) {
+      static util::TimerStat& t_churn =
+          util::metrics().timer("sim.engine.churn");
+      util::Scope churn_scope(t_churn);
       process_departures(t, report);
       run_arrivals(t, obs.expected_available, churn_rng, report);
+      churn_scope.stop();
       verify_graph(report);
     }
 
@@ -586,35 +590,32 @@ EngineReport Engine::run() {
       // Nothing to serve: the spectrum keeps evolving, the slot is free.
       ++report.idle_slots;
     } else {
+      util::Scope context_scope(t_context);
       for (auto& s : sessions_) {
         s.video.begin_slot(t);
         if (s.packets) s.packets->begin_slot(t);
         if (s.bound) s.bound->compounded.begin_slot(t);
       }
       const core::SlotContext ctx = make_context(obs, fading_rng, t);
+      context_scope.stop();
       core::SlotAllocation alloc;
-      {
-        // Manual stopwatch instead of a ScopedTimer: the same reading feeds
-        // the timer, the latency histogram, and the per-run SLO fold.
-        const util::ScopedSpan sp("sim.slot.allocate");
-        const bool timed = util::metrics_enabled() || util::trace_enabled();
-        const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
-        if (fault_plan_.enabled() && fault_plan_.control_loss(t)) {
-          // Control/feedback loss: the coordinator's decision never reaches
-          // the base stations this slot, and each falls back to the local
-          // equal-share rule it can compute without the control channel.
-          note_fault(fault_counters().control_losses,
-                     "sim.faults.control_losses");
-          alloc = core::heuristic_equal_allocation(ctx);
-        } else {
-          alloc = scheme_->allocate(ctx);
-        }
-        if (timed) {
-          decision_ns = util::monotonic_now_ns() - begin_ns;
-          t_allocate.record_ns(decision_ns);
-          h_latency.observe(static_cast<double>(decision_ns));
-          latencies.push_back(decision_ns);
-        }
+      // The allocate scope's one reading feeds the timer, the span, the
+      // latency histogram and the per-run SLO fold.
+      util::Scope alloc_scope(t_allocate);
+      if (fault_plan_.enabled() && fault_plan_.control_loss(t)) {
+        // Control/feedback loss: the coordinator's decision never reaches
+        // the base stations this slot, and each falls back to the local
+        // equal-share rule it can compute without the control channel.
+        note_fault(fault_counters().control_losses,
+                   "sim.faults.control_losses");
+        alloc = core::heuristic_equal_allocation(ctx);
+      } else {
+        alloc = scheme_->allocate(ctx);
+      }
+      if (alloc_scope.timed()) {
+        decision_ns = alloc_scope.stop();
+        h_latency.observe(static_cast<double>(decision_ns));
+        latencies.push_back(decision_ns);
       }
 #if FEMTOCR_DCHECK_IS_ON()
       dcheck_slot_allocation(ctx, alloc);
@@ -623,8 +624,7 @@ EngineReport Engine::run() {
       h_gap.observe(std::max(0.0, alloc.upper_bound - alloc.objective));
       gop_bump_sum += (alloc.upper_bound - alloc.objective) /
                       static_cast<double>(sessions_.size());
-      const util::ScopedTimer deliver_timer(t_deliver);
-      const util::ScopedSpan deliver_span("sim.slot.deliver");
+      const util::Scope deliver_scope(t_deliver);
       deliver(t, obs, ctx, alloc, components);
     }
 
@@ -642,10 +642,10 @@ EngineReport Engine::run() {
       gop_bump_sum = 0.0;
     }
 
-    // Close the slot span, then harvest: any anomaly note a fault or
+    // Close the slot scope, then harvest: any anomaly note a fault or
     // solver-fallback site tagged during this slot freezes the slot's span
     // subtree (sim.slot included) into the postmortem pool.
-    slot_span.reset();
+    slot_scope.stop();
     util::SlotPostmortemContext pm;
     pm.run = run_index_;
     pm.slot = t;

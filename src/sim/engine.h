@@ -68,7 +68,7 @@
 #include "net/topology.h"
 #include "sim/faults.h"
 #include "sim/scenario.h"
-#include "sim/trace.h"
+#include "sim/slot_log.h"
 #include "util/stats.h"
 #include "video/packet_stream.h"
 #include "video/session.h"
@@ -237,7 +237,7 @@ class Engine {
 
   /// Delivers the slot's allocation: PSNR increments (fluid or packet,
   /// expected or realized channels), the energy ledger, the compounded
-  /// bound trajectory, and the optional trace entry.
+  /// bound trajectory, and the optional slot-log entry.
   void deliver(std::size_t t, const spectrum::SlotObservation& obs,
                const core::SlotContext& ctx, const core::SlotAllocation& alloc,
                std::size_t components);
@@ -264,7 +264,7 @@ class Engine {
   std::vector<Session> sessions_;  ///< parallel to topology_.users()
   std::size_t next_video_ = 0;     ///< catalogue cursor for arrivals
   BatchTally tally_;
-  TraceRecorder* trace_ = nullptr;
+  SlotLog* slot_log_ = nullptr;
 };
 
 }  // namespace femtocr::sim

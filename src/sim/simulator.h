@@ -7,7 +7,7 @@
 // per-user delivered GOP PSNR, the paper's Eq.-(23) upper-bound curves from
 // the loop's parallel "bound trajectory" (see EXPERIMENTS.md for the exact
 // transformation), collision and channel statistics, and the energy ledger.
-// Fault profiles (sim/faults.h) and slot traces (sim/trace.h) act inside
+// Fault profiles (sim/faults.h) and slot logs (sim/slot_log.h) act inside
 // the loop.
 #pragma once
 
@@ -21,7 +21,7 @@
 #include "net/topology.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
-#include "sim/trace.h"
+#include "sim/slot_log.h"
 
 namespace femtocr::sim {
 
@@ -76,9 +76,9 @@ class Simulator {
 
   RunResult run();
 
-  /// Optional: record one SlotTraceEntry per slot into `recorder` (must
-  /// outlive run()). Pass nullptr to detach.
-  void attach_trace(TraceRecorder* recorder) { loop_.trace_ = recorder; }
+  /// Optional: record one SlotLogEntry per slot into `log` (must outlive
+  /// run()). Pass nullptr to detach.
+  void attach_slot_log(SlotLog* log) { loop_.slot_log_ = log; }
 
   /// Warm-start plumbing across simulators: seeds the scheme's dual-price
   /// carry before the first slot (no-op for stateless schemes) and exposes

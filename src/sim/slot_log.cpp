@@ -1,10 +1,10 @@
-#include "sim/trace.h"
+#include "sim/slot_log.h"
 
 #include <ostream>
 
 namespace femtocr::sim {
 
-void TraceRecorder::write_csv(std::ostream& os) const {
+void SlotLog::write_csv(std::ostream& os) const {
   os << "slot,gop,available,expected_channels,collisions,objective,"
         "upper_bound,bound_gap,user,bs,rho,increment,psnr\n";
   for (const auto& e : entries_) {

@@ -1,6 +1,6 @@
-// Per-slot execution traces.
+// Per-slot execution log.
 //
-// Attach a TraceRecorder to a Simulator to capture, for every slot, the
+// Attach a SlotLog to a Simulator to capture, for every slot, the
 // spectrum outcome (available set size, G_t, collisions), the allocator's
 // objective and bound, and each user's assignment, share, realized PSNR
 // increment and state. Used for debugging allocation behaviour, for the
@@ -13,14 +13,14 @@
 
 namespace femtocr::sim {
 
-struct UserSlotTrace {
+struct UserSlotLog {
   bool use_mbs = false;
   double rho = 0.0;        ///< share on the chosen base station
   double increment = 0.0;  ///< realized PSNR delivery this slot (dB)
   double psnr_after = 0.0; ///< W after the slot (dB)
 };
 
-struct SlotTraceEntry {
+struct SlotLogEntry {
   std::size_t slot = 0;
   std::size_t gop = 0;
   std::size_t available = 0;       ///< |A(t)|
@@ -33,14 +33,14 @@ struct SlotTraceEntry {
   /// topology, so it only moves when mobility rewires coverage. Not part
   /// of the CSV schema (write_csv is unchanged).
   std::size_t components = 0;
-  std::vector<UserSlotTrace> users;
+  std::vector<UserSlotLog> users;
 };
 
-class TraceRecorder {
+class SlotLog {
  public:
-  void record(SlotTraceEntry entry) { entries_.push_back(std::move(entry)); }
+  void record(SlotLogEntry entry) { entries_.push_back(std::move(entry)); }
 
-  const std::vector<SlotTraceEntry>& entries() const { return entries_; }
+  const std::vector<SlotLogEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
 
@@ -49,7 +49,7 @@ class TraceRecorder {
   void write_csv(std::ostream& os) const;
 
  private:
-  std::vector<SlotTraceEntry> entries_;
+  std::vector<SlotLogEntry> entries_;
 };
 
 }  // namespace femtocr::sim

@@ -97,9 +97,8 @@ SlotObservation SpectrumManager::observe_slot(std::size_t slot_index,
                                               util::Rng& rng) {
   static util::TimerStat& t_observe =
       util::metrics().timer("spectrum.observe_slot");
-  const util::ScopedTimer timer(t_observe);
-  util::ScopedSpan span("spectrum.observe_slot");
-  span.arg("slot", static_cast<double>(slot_index));
+  util::Scope scope(t_observe);
+  scope.arg("slot", static_cast<double>(slot_index));
   primary_.step(rng);
 
   const std::size_t M = config_.num_licensed;

@@ -17,6 +17,7 @@
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace femtocr::util {
 
@@ -286,8 +287,10 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 TimerStat& MetricsRegistry::timer(const std::string& name) {
   Impl& im = impl();
   MutexLock lock(im.mutex);
-  auto& slot = im.timers[name];
-  if (!slot) slot = std::make_unique<TimerStat>();
+  // The map key's storage is stable for the process lifetime, so the
+  // timer can hand it out as its span name.
+  auto& [key, slot] = *im.timers.try_emplace(name).first;
+  if (!slot) slot = std::make_unique<TimerStat>(key.c_str());
   return *slot;
 }
 

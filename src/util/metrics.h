@@ -33,7 +33,7 @@
 //   c_iters.add(iterations);
 //
 //   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
-//   util::ScopedTimer timer(t_solve);
+//   util::Scope scope(t_solve);  // util/trace.h: timer + span of that name
 #pragma once
 
 #include <atomic>
@@ -43,8 +43,6 @@
 #include <limits>
 #include <string>
 #include <vector>
-
-#include "util/timer.h"
 
 namespace femtocr::util {
 
@@ -182,12 +180,18 @@ class Histogram {
 /// Accumulated wall-clock statistic: call count, total and max nanoseconds,
 /// plus log-bucketed duration counts (the Histogram bucketer applied to
 /// nanoseconds) so p50/p90/p99 are derivable from any dump. Values are
-/// nondeterministic by nature; they are exported to JSON only.
+/// nondeterministic by nature; they are exported to JSON only. Sites time
+/// a region with util::Scope (util/trace.h), which also names its span
+/// after the timer.
 class TimerStat {
  public:
-  TimerStat() = default;
+  /// `name` must outlive the timer: the registry passes its own map key.
+  explicit TimerStat(const char* name) : name_(name) {}
   TimerStat(const TimerStat&) = delete;
   TimerStat& operator=(const TimerStat&) = delete;
+
+  /// The registry name, also the span name util::Scope records under.
+  const char* name() const { return name_; }
 
   void record_ns(std::int64_t ns) {
     if (!metrics_enabled()) return;
@@ -215,26 +219,8 @@ class TimerStat {
     std::atomic<std::uint64_t> max_ns{0};
     std::atomic<std::uint64_t> buckets[Histogram::kNumBuckets]{};
   };
+  const char* name_;
   Shard shards_[kMetricShards];
-};
-
-/// RAII wall-clock span feeding a TimerStat. When metrics are disabled at
-/// construction the clock is never read — the kill switch removes even the
-/// two monotonic_now_ns() calls from the hot path.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimerStat& stat)
-      : stat_(metrics_enabled() ? &stat : nullptr),
-        start_ns_(stat_ != nullptr ? monotonic_now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (stat_ != nullptr) stat_->record_ns(monotonic_now_ns() - start_ns_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerStat* stat_;
-  std::int64_t start_ns_;
 };
 
 // --------------------------------------------------------------- snapshot ----

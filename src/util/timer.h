@@ -2,9 +2,12 @@
 //
 // This header and timer.cpp are the ONLY places in the repository allowed
 // to touch the raw std::chrono clocks (enforced by the no-raw-chrono-clock
-// lint rule). Everything that needs wall time — the bench harness, the
-// metrics layer's scoped timers — goes through monotonic_now_ns() or a
-// Stopwatch, so "how the tree measures time" has exactly one definition.
+// lint rule). Everything that needs wall time goes through
+// monotonic_now_ns() or a Stopwatch, so "how the tree measures time" has
+// exactly one definition. Library code outside src/util/ times a region
+// with util::Scope (util/trace.h) instead, which feeds the metrics timer
+// and the span ring from one pair of readings; the harnesses under bench/
+// and perfbench/ use Stopwatch directly.
 //
 // Wall-clock readings are inherently nondeterministic; nothing printed to
 // stdout may ever depend on them (the determinism contract of

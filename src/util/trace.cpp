@@ -14,7 +14,6 @@
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 namespace femtocr::util {
 
@@ -38,8 +37,8 @@ bool is_on_value(std::string_view v) {
 
 bool enabled_slow() {
   // FEMTOCR_METRICS precedence style, but the default is OFF: recording a
-  // span costs two clock reads, so tracing is strictly opt-in (--trace-out
-  // or the environment). Unrecognized values stay off.
+  // span costs a ring store per scope, so tracing is strictly opt-in
+  // (--trace-out or the environment). Unrecognized values stay off.
   bool on = false;
   if (const char* env = std::getenv("FEMTOCR_TRACE")) {
     on = is_on_value(env);
@@ -79,17 +78,6 @@ std::size_t ring_capacity_from_env() {
 }
 
 }  // namespace
-
-/// One completed span, written in place at destructor time.
-struct TraceEvent {
-  const char* name = nullptr;
-  std::int64_t begin_ns = 0;
-  std::int64_t dur_ns = 0;
-  std::uint32_t tid = 0;
-  std::uint32_t depth = 0;
-  std::uint32_t num_args = 0;
-  ScopedSpan::Arg args[kMaxSpanArgs];
-};
 
 /// Single-writer span ring plus the owning thread's span-stack depth and
 /// pending anomaly notes. Written only by the owning thread; read by the
@@ -164,30 +152,18 @@ bool trace_env_disabled() {
   return env != nullptr && trace_detail::is_off_value(env);
 }
 
-// ------------------------------------------------------------------- span ----
+// ------------------------------------------------------------------ scope ----
 
-ScopedSpan::ScopedSpan(const char* name)
-    : ring_(trace_enabled() ? trace_detail::this_thread_ring() : nullptr),
-      name_(name) {
-  if (ring_ == nullptr) return;
-  depth_ = ring_->depth++;
-  begin_ns_ = monotonic_now_ns();
+void Scope::open_span(const char* name) {
+  ring_ = trace_detail::this_thread_ring();
+  event_.name = name;
+  event_.tid = ring_->tid;
+  event_.depth = ring_->depth++;
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (ring_ == nullptr) return;
-  const std::int64_t end_ns = monotonic_now_ns();
-  trace_detail::ThreadRing& r = *ring_;
-  --r.depth;
-  trace_detail::TraceEvent& e = r.events[r.head % r.capacity()];
-  e.name = name_;
-  e.begin_ns = begin_ns_;
-  e.dur_ns = end_ns - begin_ns_;
-  e.tid = r.tid;
-  e.depth = depth_;
-  e.num_args = num_args_;
-  for (std::uint32_t i = 0; i < num_args_; ++i) e.args[i] = args_[i];
-  ++r.head;
+void Scope::close_span() {
+  --ring_->depth;
+  ring_->events[ring_->head++ % ring_->capacity()] = event_;
 }
 
 // -------------------------------------------------------- flight recorder ----

@@ -5,7 +5,7 @@
 // Design contract (the metrics layer's, applied to spans):
 //
 //  * **Per-thread rings.** Each thread owns one ring buffer; a span write
-//    is two monotonic_now_ns() calls plus one in-place slot store — no
+//    is one in-place slot store on top of the scope's two clock reads — no
 //    locks, no allocation on the steady state. Rings keep the newest
 //    events; overwritten history is counted and exported as
 //    `dropped_events`, never silently lost.
@@ -31,11 +31,15 @@
 // alongside the trace (the slowest-N slots are kept in a separate pool so
 // a clean run reports exactly zero anomalies).
 //
-// Span catalogue and JSON schema: docs/OBSERVABILITY.md. Typical usage:
+// Every timed site uses util::Scope, the one instrumentation primitive:
+// a cached TimerStat handle names both the timer and the span, and one
+// pair of clock reads feeds whichever sinks are on. Span catalogue and
+// JSON schema: docs/OBSERVABILITY.md. Typical usage:
 //
-//   util::ScopedSpan span("core.dual.solve");
+//   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
+//   util::Scope scope(t_solve);
 //   ...
-//   span.arg("iterations", static_cast<double>(result.iterations));
+//   scope.arg("iterations", static_cast<double>(result.iterations));
 #pragma once
 
 #include <atomic>
@@ -47,6 +51,7 @@
 #include <vector>
 
 #include "util/metrics.h"
+#include "util/timer.h"
 
 namespace femtocr::util {
 
@@ -66,10 +71,26 @@ struct ThreadRing;
 /// The calling thread's ring, created and registered on first use.
 ThreadRing* this_thread_ring();
 
+/// One span as a ring slot stores it: filled in place by a Scope and
+/// copied into the ring when the scope closes.
+struct TraceEvent {
+  struct Arg {
+    const char* key = nullptr;
+    double value = 0.0;
+  };
+  const char* name = nullptr;
+  std::int64_t begin_ns = 0;
+  std::int64_t dur_ns = 0;
+  std::uint32_t tid = 0;
+  std::uint32_t depth = 0;
+  std::uint32_t num_args = 0;
+  Arg args[kMaxSpanArgs];
+};
+
 }  // namespace trace_detail
 
 /// True when FEMTOCR_TRACE=1/on/true or set_trace_enabled(true). Unlike
-/// metrics, tracing defaults OFF — recording costs clock reads per span.
+/// metrics, tracing defaults OFF — recording costs a ring store per scope.
 inline bool trace_enabled() {
   const int e = trace_detail::g_enabled.load(std::memory_order_relaxed);
   return e >= 0 ? e != 0 : trace_detail::enabled_slow();
@@ -84,39 +105,57 @@ void set_trace_enabled(bool on);
 /// trivial to script.
 bool trace_env_disabled();
 
-// ------------------------------------------------------------------- span ----
+// ------------------------------------------------------------------ scope ----
 
-/// RAII span. When tracing is disabled at construction the clock is never
-/// read and the destructor is a null check. `name` (and every arg key)
-/// must point at storage that outlives the process — string literals.
-class ScopedSpan {
+/// RAII instrumentation scope over one TimerStat. Which sinks record is
+/// decided at construction: the timer when metrics are on, a span named
+/// stat.name() when tracing is on. The clock is read once at begin and
+/// once at end, and that one duration feeds both sinks; with both off the
+/// clock is never read and nothing is written. Arg keys must be string
+/// literals (they are stored by pointer).
+class Scope {
  public:
-  struct Arg {
-    const char* key = nullptr;
-    double value = 0.0;
-  };
+  explicit Scope(TimerStat& stat)
+      : stat_(metrics_enabled() ? &stat : nullptr) {
+    if (trace_enabled()) open_span(stat.name());
+    open_ = timed();
+    if (open_) event_.begin_ns = monotonic_now_ns();
+  }
+  ~Scope() { stop(); }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  /// True when a sink was on at construction, i.e. stop() measures.
+  bool timed() const { return stat_ != nullptr || ring_ != nullptr; }
 
-  /// Attaches a numeric arg (exported under "args" in the trace JSON).
-  /// No-op when the span is disabled or kMaxSpanArgs are already set.
+  /// Attaches a numeric arg to the span (exported under "args"). No-op
+  /// when tracing was off, after stop(), or once kMaxSpanArgs are set.
   void arg(const char* key, double value) {
-    if (ring_ == nullptr || num_args_ >= kMaxSpanArgs) return;
-    args_[num_args_].key = key;
-    args_[num_args_].value = value;
-    ++num_args_;
+    if (ring_ == nullptr || !open_ || event_.num_args >= kMaxSpanArgs) return;
+    event_.args[event_.num_args++] = {key, value};
+  }
+
+  /// Closes the scope early and returns its duration in ns (0 when both
+  /// sinks were off). Idempotent: later calls, and the destructor, record
+  /// nothing more and return the same value.
+  std::int64_t stop() {
+    if (!open_) return event_.dur_ns;
+    open_ = false;
+    event_.dur_ns = monotonic_now_ns() - event_.begin_ns;
+    if (stat_ != nullptr) stat_->record_ns(event_.dur_ns);
+    if (ring_ != nullptr) close_span();
+    return event_.dur_ns;
   }
 
  private:
-  trace_detail::ThreadRing* ring_;  ///< null when disabled at construction
-  const char* name_;
-  std::int64_t begin_ns_ = 0;
-  std::uint32_t depth_ = 0;
-  std::uint32_t num_args_ = 0;
-  Arg args_[kMaxSpanArgs];
+  void open_span(const char* name);
+  void close_span();
+
+  TimerStat* stat_;                           ///< null when metrics were off
+  trace_detail::ThreadRing* ring_ = nullptr;  ///< null when tracing was off
+  /// The span in flight; its begin/duration also serve the timer alone.
+  trace_detail::TraceEvent event_;
+  bool open_ = false;
 };
 
 // -------------------------------------------------------- flight recorder ----

@@ -11,6 +11,7 @@
 
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -116,7 +117,7 @@ TEST(Metrics, KillSwitchMakesOpsNoOps) {
   c.add(5);
   h.observe(1.5);
   t.record_ns(1000);
-  { const util::ScopedTimer scoped(t); }
+  { const util::Scope scoped(t); }
   EXPECT_EQ(c.total(), 0u);
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(t.count(), 0u);
@@ -126,7 +127,7 @@ TEST(Metrics, KillSwitchMakesOpsNoOps) {
   util::set_metrics_enabled(true);
   c.add(5);
   h.observe(1.5);
-  { const util::ScopedTimer scoped(t); }
+  { const util::Scope scoped(t); }
   EXPECT_EQ(c.total(), 5u);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(t.count(), 1u);

@@ -5,7 +5,7 @@
 
 #include "sim/scenario.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
+#include "sim/slot_log.h"
 
 namespace femtocr::sim {
 namespace {
@@ -18,9 +18,9 @@ Scenario tiny() {
 
 TEST(Trace, OneEntryPerSlotWithUserRows) {
   const Scenario s = tiny();
-  TraceRecorder trace;
+  SlotLog trace;
   Simulator sim(s, core::SchemeKind::kProposed, 0);
-  sim.attach_trace(&trace);
+  sim.attach_slot_log(&trace);
   sim.run();
   ASSERT_EQ(trace.size(), s.gop_deadline * s.num_gops);
   for (const auto& e : trace.entries()) {
@@ -36,9 +36,9 @@ TEST(Trace, OneEntryPerSlotWithUserRows) {
 
 TEST(Trace, UserRowsAreConsistent) {
   const Scenario s = tiny();
-  TraceRecorder trace;
+  SlotLog trace;
   Simulator sim(s, core::SchemeKind::kHeuristic2, 0);
-  sim.attach_trace(&trace);
+  sim.attach_slot_log(&trace);
   sim.run();
   for (const auto& e : trace.entries()) {
     for (const auto& u : e.users) {
@@ -53,18 +53,18 @@ TEST(Trace, UserRowsAreConsistent) {
 TEST(Trace, TracingDoesNotPerturbResults) {
   const Scenario s = tiny();
   const RunResult plain = Simulator(s, core::SchemeKind::kProposed, 0).run();
-  TraceRecorder trace;
+  SlotLog trace;
   Simulator traced(s, core::SchemeKind::kProposed, 0);
-  traced.attach_trace(&trace);
+  traced.attach_slot_log(&trace);
   const RunResult with_trace = traced.run();
   EXPECT_EQ(plain.user_mean_psnr, with_trace.user_mean_psnr);
 }
 
 TEST(Trace, CsvShape) {
   const Scenario s = tiny();
-  TraceRecorder trace;
+  SlotLog trace;
   Simulator sim(s, core::SchemeKind::kProposed, 0);
-  sim.attach_trace(&trace);
+  sim.attach_slot_log(&trace);
   sim.run();
   std::ostringstream oss;
   trace.write_csv(oss);
@@ -81,7 +81,7 @@ TEST(Trace, CsvShape) {
 }
 
 TEST(Trace, ClearResets) {
-  TraceRecorder trace;
+  SlotLog trace;
   trace.record({});
   EXPECT_EQ(trace.size(), 1u);
   trace.clear();

@@ -4,8 +4,10 @@
 // (durations are wall-clock and are not); and the flight recorder captures
 // anomalies under the chaos profile while staying EXACTLY empty on clean
 // runs — "zero anomalies" is a meaningful all-clear only if nothing else
-// can leak into the pool.
+// can leak into the pool. The util::Scope suite pins the one-reading
+// contract: the timer and the span of a scope share one duration.
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
@@ -15,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "sim/config_io.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 #include "util/trace.h"
 
 namespace {
@@ -153,6 +157,43 @@ TEST(TraceSpans, SpanCountsInvariantAcrossThreadCounts) {
   }
 }
 
+TEST(TraceSpans, EngineLayerScopesCountDeterministicWork) {
+  // The online engine's churn, admission-probe and context scopes fire
+  // once per unit of deterministic work: one admit span per QoS probe
+  // (every arrival that passed the capacity check), one churn span per
+  // slot, one context span per served slot.
+  ThreadDefaultGuard guard;
+  TraceGuard trace_guard;
+  util::set_trace_enabled(true);
+  sim::Scenario scenario = sim::fig1_scenario(/*seed=*/1);
+  scenario.mobility.step_stddev = 3.0;
+  scenario.finalize();
+  sim::EngineConfig cfg;
+  cfg.slots = 120;
+  cfg.churn.arrival_rate = 0.3;
+  cfg.churn.mean_lifetime_slots = 40.0;
+  cfg.churn.max_sessions_per_fbs = 4;
+  cfg.churn.admission_min_psnr = 33.0;  // > 0: every admit runs the probe
+
+  std::vector<std::map<std::string, std::uint64_t>> counts;
+  sim::EngineReport report;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_default_threads(threads);
+    util::reset_trace();
+    report = sim::Engine(scenario, cfg, 0).run();
+    EXPECT_EQ(util::trace_counts().dropped, 0u) << threads << " threads";
+    counts.push_back(span_count_map());
+  }
+
+  ASSERT_GT(report.arrivals, report.rejected_capacity);
+  EXPECT_EQ(counts[0]["sim.engine.admit"],
+            report.arrivals - report.rejected_capacity);
+  EXPECT_EQ(counts[0]["sim.engine.churn"], cfg.slots);
+  EXPECT_EQ(counts[0]["sim.slot.context"], cfg.slots - report.idle_slots);
+  EXPECT_EQ(counts[0]["sim.slot.context"], counts[0]["sim.slot.allocate"]);
+  EXPECT_EQ(counts[1], counts[0]);
+}
+
 TEST(TraceSpans, DisabledTracingRecordsNothing) {
   ThreadDefaultGuard guard;
   TraceGuard trace_guard;
@@ -204,6 +245,112 @@ TEST(TraceSpans, TraceJsonExportsSpansAndRecorderSections) {
   EXPECT_NE(json.find("\"span_counts\""), std::string::npos);
   EXPECT_NE(json.find("\"flight_recorder\""), std::string::npos);
   EXPECT_NE(json.find("\"started_at\""), std::string::npos);
+}
+
+/// Sets both kill switches for one test and restores them (and empties
+/// the rings) on the way out.
+struct SinkGuard {
+  SinkGuard(bool metrics, bool trace) {
+    femtocr::util::set_metrics_enabled(metrics);
+    femtocr::util::set_trace_enabled(trace);
+    femtocr::util::reset_trace();
+  }
+  ~SinkGuard() {
+    femtocr::util::set_metrics_enabled(prev_metrics);
+    femtocr::util::set_trace_enabled(prev_trace);
+    femtocr::util::reset_trace();
+  }
+  bool prev_metrics = femtocr::util::metrics_enabled();
+  bool prev_trace = femtocr::util::trace_enabled();
+};
+
+/// A zeroed registry timer unique to the calling test.
+util::TimerStat& fresh_timer(const std::string& name) {
+  util::TimerStat& t = util::metrics().timer(name);
+  t.reset();
+  return t;
+}
+
+/// Busy-waits until the monotonic clock has advanced, so a scope around
+/// it measures a positive duration on any clock resolution.
+void wait_one_tick() {
+  const util::Stopwatch watch;
+  while (watch.elapsed_ns() <= 0) {
+  }
+}
+
+/// Duration (ns) of the first exported span named `name`, read back from
+/// the trace JSON, whose "us.nnn" fixed-point keeps every nanosecond.
+/// -1 when no such span was exported.
+std::int64_t exported_span_ns(const std::string& name) {
+  std::ostringstream os;
+  util::write_trace_json(os, util::make_metrics_manifest(0, nullptr));
+  const std::string json = os.str();
+  const std::size_t at = json.find("\"name\": \"" + name + "\"");
+  if (at == std::string::npos) return -1;
+  const std::size_t us = json.find("\"dur\": ", at) + 7;
+  const std::size_t dot = json.find('.', us);
+  return std::stoll(json.substr(us, dot - us)) * 1000 +
+         std::stoll(json.substr(dot + 1, 3));
+}
+
+TEST(Scope, BothSinksShareOneClockReading) {
+  const SinkGuard sinks(/*metrics=*/true, /*trace=*/true);
+  util::TimerStat& t = fresh_timer("test.scope.both");
+  {
+    const util::Scope scope(t);
+    wait_one_tick();
+  }
+  ASSERT_EQ(t.count(), 1u);
+  EXPECT_EQ(exported_span_ns("test.scope.both"),
+            static_cast<std::int64_t>(t.total_ns()));
+}
+
+TEST(Scope, MetricsOnlyRecordsTheTimer) {
+  const SinkGuard sinks(/*metrics=*/true, /*trace=*/false);
+  util::TimerStat& t = fresh_timer("test.scope.metrics_only");
+  util::Scope scope(t);
+  wait_one_tick();
+  EXPECT_GT(scope.stop(), 0);
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_TRUE(util::trace_counts().per_name.empty());
+}
+
+TEST(Scope, TraceOnlyRecordsTheSpan) {
+  const SinkGuard sinks(/*metrics=*/false, /*trace=*/true);
+  util::TimerStat& t = fresh_timer("test.scope.trace_only");
+  util::Scope scope(t);
+  wait_one_tick();
+  EXPECT_GT(scope.stop(), 0);
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_EQ(span_count_map()["test.scope.trace_only"], 1u);
+}
+
+TEST(Scope, BothOffRecordsNothing) {
+  const SinkGuard sinks(/*metrics=*/false, /*trace=*/false);
+  util::TimerStat& t = fresh_timer("test.scope.off");
+  util::Scope scope(t);
+  EXPECT_FALSE(scope.timed());
+  wait_one_tick();
+  EXPECT_EQ(scope.stop(), 0);
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_TRUE(util::trace_counts().per_name.empty());
+}
+
+TEST(Scope, StopIsIdempotent) {
+  const SinkGuard sinks(/*metrics=*/true, /*trace=*/true);
+  util::TimerStat& t = fresh_timer("test.scope.stop");
+  {
+    util::Scope scope(t);
+    wait_one_tick();
+    const std::int64_t ns = scope.stop();
+    EXPECT_GT(ns, 0);
+    wait_one_tick();
+    EXPECT_EQ(scope.stop(), ns);
+    EXPECT_EQ(t.total_ns(), static_cast<std::uint64_t>(ns));
+  }  // the destructor records nothing more either
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_EQ(span_count_map()["test.scope.stop"], 1u);
 }
 
 }  // namespace

@@ -24,7 +24,10 @@ Scans the library sources (``src/``) and enforces:
                 system_clock::now(), high_resolution_clock) outside
                 src/util/timer.* — wall time flows through
                 util::monotonic_now_ns() / util::Stopwatch so nothing
-                nondeterministic can leak onto stdout unnoticed.
+                nondeterministic can leak onto stdout unnoticed. Outside
+                src/util/ those two are banned as well: a timed region
+                is a util::Scope, so the kill switches and the span ring
+                see every stopwatch in the tree.
   pragma-once   every header uses `#pragma once` (and not an
                 #ifndef/#define include guard), consistently with the rest
                 of the tree.
@@ -143,6 +146,8 @@ FLOAT_EQ_RE = re.compile(
 CHRONO_CLOCK_RE = re.compile(
     r"(?:steady_clock|system_clock)\s*::\s*now\s*\(|high_resolution_clock"
 )
+# util/timer.h's own clock API, which only the util layer may call.
+STOPWATCH_RE = re.compile(r"\b(?:monotonic_now_ns|Stopwatch)\b")
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+_H_?\b")
 # TU tag marking a per-slot solve hot path (first 30 lines, comment form).
 INNER_LOOP_TAG_RE = re.compile(r"femtocr:inner-loop-tu")
@@ -342,6 +347,16 @@ def lint_file(path: Path, layer: str | None) -> list[Violation]:
                 raw,
             )
 
+        if STOPWATCH_RE.search(code) and layer != "util":
+            report(
+                i,
+                "no-raw-chrono-clock",
+                "hand-rolled stopwatch outside src/util/ — time the region "
+                "with util::Scope (util/trace.h), which feeds the timer and "
+                "the span from one clock reading",
+                raw,
+            )
+
     if path.suffix == ".h":
         has_pragma = any(l.strip() == "#pragma once" for l in lines)
         guard_line = next(
@@ -403,7 +418,7 @@ def self_test(fixture_src: Path) -> int:
             ("video/bad_guard.h", "pragma-once"): 2,
             # util/timer.cpp (the sanctioned raw-clock site) is seeded with
             # a steady_clock::now() and must stay at zero via the exemption.
-            ("sim/bad_clock.cpp", "no-raw-chrono-clock"): 3,
+            ("sim/bad_clock.cpp", "no-raw-chrono-clock"): 5,
             # util/trace.cpp (the span layer) is seeded the same way and is
             # pinned at zero: trace emission is exempt only inside
             # util/trace.* / util/timer.*, banned everywhere else.
