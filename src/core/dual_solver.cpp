@@ -7,11 +7,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/objective.h"
 #include "core/scratch.h"
 #include "core/slot_cache.h"
 #include "core/subproblem.h"
+#include "core/waterfill.h"
 #include "util/check.h"
 #include "util/mathx.h"
 #include "util/metrics.h"
@@ -187,71 +189,24 @@ bool improves(double candidate, double incumbent) {
   return std::isfinite(candidate) && !(candidate <= incumbent);
 }
 
-/// Degraded-mode share heuristics (never reached by a converged solve).
-/// Each user attaches to the branch with the larger marginal PSNR slope at
-/// rho == 0 (d/drho of S log(W + rho R) there is S R / W); each resource's
-/// slot is then split among its attached users — proportional to slope for
-/// the greedy rung, equally for the equal-shares rung. Shares are within
-/// the budgets by construction, but the dual path's projection + scoring
-/// runs anyway so the candidates are strictly comparable.
-double fallback_allocation(const SlotContext& ctx, const SlotCache& cache,
-                           DualScratch& ds, bool proportional,
-                           SlotAllocation& alloc) {
-  const std::size_t K = ctx.users.size();
-  std::fill(ds.sums.begin(), ds.sums.end(), 0.0);
-  for (std::size_t j = 0; j < K; ++j) {
-    const double slope_mbs =
-        cache.can_mbs[j] ? ds.s_mbs[j] * ds.rate_mbs[j] / ds.psnr[j] : -1.0;
-    const double slope_fbs =
-        ds.can_fbs[j] ? ds.s_fbs[j] * ds.eff_rate_fbs[j] / ds.psnr[j] : -1.0;
-    // Ties go to the FBS, matching Table I's tie rule in solve_user_cached.
-    const bool use_mbs = slope_mbs > slope_fbs;
-    const double slope = use_mbs ? slope_mbs : slope_fbs;
-    const double weight = slope > 0.0 ? (proportional ? slope : 1.0) : 0.0;
-    ds.choice_use_mbs[j] = use_mbs ? 1 : 0;
-    ds.choice_rho_mbs[j] = use_mbs ? weight : 0.0;
-    ds.choice_rho_fbs[j] = use_mbs ? 0.0 : weight;
-    ds.sums[0] += ds.choice_rho_mbs[j];
-    ds.sums[ds.fbsi[j] + 1] += ds.choice_rho_fbs[j];
-  }
-  for (std::size_t j = 0; j < K; ++j) {
-    const bool use_mbs = ds.choice_use_mbs[j] != 0;
-    const double weight = use_mbs ? ds.choice_rho_mbs[j] : ds.choice_rho_fbs[j];
-    const double total = ds.sums[use_mbs ? 0 : ds.fbsi[j] + 1];
-    const double share =
-        total > 0.0 ? std::min(weight / total, kRhoCap) : 0.0;
-    alloc.use_mbs[j] = use_mbs;
-    alloc.rho_mbs[j] = use_mbs ? share : 0.0;
-    alloc.rho_fbs[j] = use_mbs ? 0.0 : share;
-  }
-  rescale_to_budgets(ctx, ds, alloc);
-  return slot_objective(ctx, alloc);
-}
-
 /// Degradation counters, registered lazily on first use: a run in which
 /// every solve converges (all figure goldens, BENCH_baseline.json) exports
 /// exactly the historical counter set. The perf gate compares the union of
 /// `core.*` counters, so eager registration would break it for nothing.
 struct FallbackCounters {
-  util::Counter& nonconverged;     ///< solves that exhausted every attempt
-  util::Counter& retries;          ///< step-backoff attempts taken
-  util::Counter& retry_converged;  ///< solves rescued by a retry
+  util::Counter& nonconverged;     ///< solves that exhausted the budget
   util::Counter& best_iterate;     ///< recovered at the best sampled iterate
   util::Counter& last_iterate;     ///< recovered at the final prices
-  util::Counter& greedy;           ///< fallback rung: slope-proportional
-  util::Counter& equal;            ///< fallback rung: equal shares
+  util::Counter& exact;            ///< recovered by the exact water-fill
   util::Counter& nonfinite_prices; ///< diverged prices reset before recovery
 };
 
 FallbackCounters& fallback_counters() {
   static FallbackCounters c{
       util::metrics().counter("core.dual.fallback.nonconverged"),
-      util::metrics().counter("core.dual.fallback.retries"),
-      util::metrics().counter("core.dual.fallback.retry_converged"),
       util::metrics().counter("core.dual.fallback.best_iterate"),
       util::metrics().counter("core.dual.fallback.last_iterate"),
-      util::metrics().counter("core.dual.fallback.greedy"),
-      util::metrics().counter("core.dual.fallback.equal"),
+      util::metrics().counter("core.dual.fallback.exact"),
       util::metrics().counter("core.dual.fallback.nonfinite_prices")};
   return c;
 }
@@ -290,9 +245,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
                 "need one expected channel count per FBS");
   FEMTOCR_CHECK(options.step_size > 0.0, "step size must be positive");
   FEMTOCR_CHECK(options.tolerance >= 0.0, "tolerance must be nonnegative");
-  FEMTOCR_CHECK(options.max_retries == 0 || (options.retry_backoff > 0.0 &&
-                                             options.retry_backoff <= 1.0),
-                "retry backoff must be in (0, 1]");
 
   const std::size_t K = ctx.users.size();
   const std::size_t num_prices = ctx.num_fbs + 1;
@@ -381,50 +333,38 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   std::size_t until_eval = stride;
   bool have_best = false;
 
-  double step = options.step_size;
-  for (std::size_t attempt = 0;; ++attempt) {
-    for (std::size_t tau = 0; tau < options.max_iterations; ++tau) {
-      user_best_responses<false>(ctx, cache, ds, ds.lambda);
+  const double step = options.step_size;
+  for (std::size_t tau = 0; tau < options.max_iterations; ++tau) {
+    user_best_responses<false>(ctx, cache, ds, ds.lambda);
 
-      // Eq. (16)/(18)/(19): lambda_i <- [lambda_i - s (1 - sum_j rho_ij)]^+.
-      for (std::size_t i = 0; i < num_prices; ++i) {
-        ds.next[i] = util::pos(ds.lambda[i] - step * (1.0 - ds.sums[i]));
-        FEMTOCR_DCHECK_FINITE(ds.next[i], "dual price diverged mid-iteration");
-      }
-      const double movement = util::squared_distance(ds.next, ds.lambda);
-      std::swap(ds.lambda, ds.next);
-      if (options.record_trace) result.trace.push_back(ds.lambda);
-      ++result.iterations;
-      if (movement <= options.tolerance) {
-        result.converged = true;
-        break;
-      }
-      // Periodic best-iterate scoring, placed after the convergence check
-      // so a converging solve runs the identical update sequence whether
-      // tracking is on or off. Scores with the exit path's own recovery;
-      // result.allocation doubles as the scoring buffer (the exit path
-      // overwrites every field this writes).
-      if (track && --until_eval == 0) {
-        until_eval = stride;
-        const double q =
-            recover_primal(ctx, cache, ds, ds.lambda, result.allocation);
-        if (improves(q, best_objective)) {
-          best_objective = q;
-          ds.best_lambda = ds.lambda;
-          have_best = true;
-        }
+    // Eq. (16)/(18)/(19): lambda_i <- [lambda_i - s (1 - sum_j rho_ij)]^+.
+    for (std::size_t i = 0; i < num_prices; ++i) {
+      ds.next[i] = util::pos(ds.lambda[i] - step * (1.0 - ds.sums[i]));
+      FEMTOCR_DCHECK_FINITE(ds.next[i], "dual price diverged mid-iteration");
+    }
+    const double movement = util::squared_distance(ds.next, ds.lambda);
+    std::swap(ds.lambda, ds.next);
+    if (options.record_trace) result.trace.push_back(ds.lambda);
+    ++result.iterations;
+    if (movement <= options.tolerance) {
+      result.converged = true;
+      break;
+    }
+    // Periodic best-iterate scoring, placed after the convergence check
+    // so a converging solve runs the identical update sequence whether
+    // tracking is on or off. Scores with the exit path's own recovery;
+    // result.allocation doubles as the scoring buffer (the exit path
+    // overwrites every field this writes).
+    if (track && --until_eval == 0) {
+      until_eval = stride;
+      const double q =
+          recover_primal(ctx, cache, ds, ds.lambda, result.allocation);
+      if (improves(q, best_objective)) {
+        best_objective = q;
+        ds.best_lambda = ds.lambda;
+        have_best = true;
       }
     }
-    if (result.converged || attempt >= options.max_retries) break;
-    // Retry with step-size backoff: continue from the current (warm)
-    // prices with a smaller step and a fresh iteration budget.
-    fallback_counters().retries.add();
-    util::trace_note_anomaly("core.dual.fallback.retries");
-    step *= options.retry_backoff;
-    ++result.retries;
-  }
-  if (result.retries > 0 && result.converged) {
-    fallback_counters().retry_converged.add();
   }
 
   c_iters.add(result.iterations);
@@ -454,7 +394,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   DualRecovery recovery = result.converged ? DualRecovery::kConverged
                                            : DualRecovery::kLastIterate;
   if (!result.converged) {
-    result.degraded = true;
     // The headline fix: under an oversized step the orbit's final point
     // can be strictly worse than an earlier one — return the best sampled
     // iterate instead (strict improvement only; ties keep the last
@@ -465,52 +404,26 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
       ds.lambda = ds.best_lambda;
       recovery = DualRecovery::kBestIterate;
     }
-    if (options.allow_fallback) {
-      // Explicit chain dual -> greedy -> equal; a later rung must strictly
-      // improve on the incumbent. The buffer holds one candidate at a
-      // time, so the winner is rematerialized after the comparisons (the
-      // recompute is deterministic and only runs on this degraded path).
-      const double q_greedy = fallback_allocation(ctx, cache, ds,
-                                                  /*proportional=*/true,
-                                                  result.allocation);
-      if (improves(q_greedy, objective)) {
-        objective = q_greedy;
-        recovery = DualRecovery::kGreedy;
+    // The one degraded rung: the edgeless slot is the convex program the
+    // water-fill solves exactly, so an opted-in solve takes that point on
+    // strict improvement. A non-finite recovery takes it regardless of
+    // allow_fallback: the exit contract below insists on a finite objective.
+    if (options.allow_fallback || !std::isfinite(objective)) {
+      SlotAllocation exact = waterfill_solve(ctx, cache, gt_per_fbs);
+      if (improves(exact.objective, objective) || !std::isfinite(objective)) {
+        objective = exact.objective;
+        result.allocation = std::move(exact);
+        recovery = DualRecovery::kExact;
       }
-      const double q_equal = fallback_allocation(ctx, cache, ds,
-                                                 /*proportional=*/false,
-                                                 result.allocation);
-      if (improves(q_equal, objective)) {
-        objective = q_equal;
-        recovery = DualRecovery::kEqual;
-      } else if (recovery == DualRecovery::kGreedy) {
-        objective = fallback_allocation(ctx, cache, ds, /*proportional=*/true,
-                                        result.allocation);
-      } else {
-        objective =
-            recover_primal(ctx, cache, ds, ds.lambda, result.allocation);
-      }
-    }
-    if (!std::isfinite(objective)) {
-      // Floor of last resort regardless of allow_fallback: equal shares
-      // are always well-defined, and the exit contract below insists on a
-      // finite objective.
-      objective = fallback_allocation(ctx, cache, ds, /*proportional=*/false,
-                                      result.allocation);
-      recovery = DualRecovery::kEqual;
     }
     switch (recovery) {
       case DualRecovery::kBestIterate:
         fallback_counters().best_iterate.add();
         util::trace_note_anomaly("core.dual.fallback.best_iterate");
         break;
-      case DualRecovery::kGreedy:
-        fallback_counters().greedy.add();
-        util::trace_note_anomaly("core.dual.fallback.greedy");
-        break;
-      case DualRecovery::kEqual:
-        fallback_counters().equal.add();
-        util::trace_note_anomaly("core.dual.fallback.equal");
+      case DualRecovery::kExact:
+        fallback_counters().exact.add();
+        util::trace_note_anomaly("core.dual.fallback.exact");
         break;
       default:
         fallback_counters().last_iterate.add();
@@ -525,7 +438,7 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   result.lambda = ds.lambda;
 
   // Exit contracts. A converged solve promises finite cone prices; a
-  // non-converged one reports through `degraded`/`recovery` and the
+  // non-converged one reports through `recovery` and the
   // core.dual.fallback.* counters instead of an over-claiming "converged
   // multiplier" abort (the prices were sanitized above). Every path
   // guarantees a finite, budget-feasible primal point.
@@ -562,7 +475,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   scope.arg("iterations", static_cast<double>(result.iterations));
   scope.arg("converged", result.converged ? 1.0 : 0.0);
   scope.arg("recovery", static_cast<double>(static_cast<int>(result.recovery)));
-  scope.arg("retries", static_cast<double>(result.retries));
   scope.arg("lambda0", result.lambda.empty() ? 0.0 : result.lambda[0]);
 
   // Every FBS holds its assigned expected channel count; the channel id

@@ -60,44 +60,35 @@ struct DualOptions {
   /// Score every Nth iterate (amortizes the O(K) recovery to ~K/N per
   /// iteration; 0 is treated as 1).
   std::size_t best_iterate_stride = 64;
-  /// On non-convergence, retry this many times, continuing from the
-  /// current prices with the step scaled by retry_backoff each attempt
-  /// and a fresh max_iterations budget. 0 (default) keeps the historical
-  /// single-attempt behavior.
-  std::size_t max_retries = 0;
-  double retry_backoff = 0.5;  ///< step multiplier per retry, in (0, 1]
-  /// After the retries are spent, admit the explicit fallback chain
-  /// dual -> greedy share heuristic -> equal shares: each rung replaces
-  /// the recovered point only when its objective is strictly better
-  /// (NaN never wins). Off by default — opt-in degraded mode.
+  /// On non-convergence, admit the one degraded rung: the exact
+  /// water-fill of the same slot (waterfill_solve), taken when its
+  /// objective is strictly better than the recovered iterate (NaN never
+  /// wins). Off by default — opt-in degraded mode.
   bool allow_fallback = false;
 };
 
 /// How the returned primal point was produced. Anything other than
 /// kConverged means the subgradient did not meet the tolerance and the
-/// result is a graceful-degradation recovery (DualResult::degraded).
+/// result is a graceful-degradation recovery. The values are the
+/// `recovery` arg of the core.dual.solve span, so they stay fixed.
 enum class DualRecovery {
-  kConverged,    ///< loop met the movement tolerance; recovery at lambda*
-  kLastIterate,  ///< non-converged; primal at the final prices
-  kBestIterate,  ///< non-converged; best sampled iterate beat the last one
-  kGreedy,       ///< fallback: slope-proportional share heuristic
-  kEqual,        ///< fallback of last resort: equal shares per resource
+  kConverged = 0,    ///< loop met the movement tolerance; recovery at lambda*
+  kLastIterate = 1,  ///< non-converged; primal at the final prices
+  kBestIterate = 2,  ///< non-converged; best sampled iterate beat the last one
+  kExact = 3,        ///< non-converged; the exact water-fill beat the iterate
 };
 
 struct DualResult {
   SlotAllocation allocation;
   std::vector<double> lambda;   ///< converged prices [lambda_0..lambda_N]
   bool converged = false;
-  std::size_t iterations = 0;   ///< total across all retry attempts
+  std::size_t iterations = 0;
   /// lambda(tau) per iteration when record_trace is set; index 0 is the
   /// initial point.
   std::vector<std::vector<double>> trace;
-  /// True iff the solve exhausted its iteration budget (all attempts) and
-  /// the allocation comes from a degradation path; mirrored by the
+  /// How the allocation was recovered; mirrored by the
   /// core.dual.fallback.* counters (docs/ROBUSTNESS.md).
-  bool degraded = false;
   DualRecovery recovery = DualRecovery::kConverged;
-  std::size_t retries = 0;      ///< backoff attempts actually taken
 };
 
 struct SlotCache;

@@ -107,12 +107,6 @@ void apply_robustness_overrides(std::map<std::string, std::string>& kv,
     FEMTOCR_CHECK(scenario.dual.max_iterations > 0,
                   "dual_max_iterations must be positive");
   }
-  if (const auto v = take("dual_max_retries"); !v.empty()) {
-    scenario.dual.max_retries = to_size("dual_max_retries", v);
-  }
-  if (const auto v = take("dual_retry_backoff"); !v.empty()) {
-    scenario.dual.retry_backoff = to_double("dual_retry_backoff", v);
-  }
   if (const auto v = take("dual_fallback"); !v.empty()) {
     scenario.dual.allow_fallback = to_bool("dual_fallback", v);
   }
@@ -344,12 +338,6 @@ void save_scenario(std::ostream& out, const Scenario& scenario,
   }
   if (d.max_iterations != dd.max_iterations) {
     out << "dual_max_iterations = " << d.max_iterations << '\n';
-  }
-  if (d.max_retries != dd.max_retries) {
-    out << "dual_max_retries = " << d.max_retries << '\n';
-  }
-  if (d.retry_backoff != dd.retry_backoff) {
-    out << "dual_retry_backoff = " << d.retry_backoff << '\n';
   }
   if (d.allow_fallback != dd.allow_fallback) {
     out << "dual_fallback = " << (d.allow_fallback ? "on" : "off") << '\n';

@@ -22,8 +22,7 @@
 // standalone --fault-profile overlay files:
 //
 //     distributed_solver = on   # Table I/II subgradient for Proposed
-//     dual_fallback = on        # dual -> greedy -> equal degradation chain
-//     dual_max_retries = 2      # step-backoff retries on non-convergence
+//     dual_fallback = on        # non-converged dual -> exact water-fill
 //     fault_sensing_outage_rate = 0.05
 //     fault_budget_squeeze_rate = 0.1
 //     fault_budget_squeeze_iterations = 5

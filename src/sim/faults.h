@@ -59,7 +59,7 @@ struct FaultProfile {
   /// Solver budget squeeze: the slot leaves only `budget_squeeze_iterations`
   /// subgradient iterations for the distributed solver — the graceful-
   /// degradation path of core::solve_dual (best-iterate recovery and the
-  /// dual -> greedy -> equal fallback chain) must absorb the rest.
+  /// exact water-fill fallback) must absorb the rest.
   double budget_squeeze_rate = 0.0;
   std::size_t budget_squeeze_iterations = 50;
 

@@ -146,7 +146,6 @@ TEST(DualSolver, OversizedStepDoesNotConverge) {
   const DualResult d =
       solve_dual(f.ctx, {f.ctx.total_expected_channels()}, o);
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_NE(d.recovery, DualRecovery::kConverged);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));  // primal still projected
 }
@@ -210,7 +209,6 @@ TEST(DualSolver, TrackingIsInvisibleOnConvergedSolves) {
   const DualResult b = solve_dual(f.ctx, gt, off);
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
-  EXPECT_FALSE(a.degraded);
   EXPECT_EQ(a.recovery, DualRecovery::kConverged);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.allocation.objective, b.allocation.objective);  // bitwise
@@ -222,7 +220,7 @@ TEST(DualSolver, TrackingIsInvisibleOnConvergedSolves) {
 
 TEST(DualSolver, TinyIterationBudgetDegradesGracefully) {
   // Regression for the non-convergence exit contract: a squeezed budget
-  // must surface as degraded=true with a feasible, finite recovery — not
+  // must surface as a non-converged, feasible, finite recovery — not
   // as a contract abort about unconverged multipliers.
   util::Rng rng(571);
   auto f = test::random_context(rng, 5, 2, 3);
@@ -232,98 +230,10 @@ TEST(DualSolver, TinyIterationBudgetDegradesGracefully) {
   DualResult d;
   ASSERT_NO_THROW(d = solve_dual(f.ctx, gt, o));
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_NE(d.recovery, DualRecovery::kConverged);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));
   EXPECT_TRUE(std::isfinite(d.allocation.objective));
   EXPECT_LE(d.iterations, 2u);
-}
-
-TEST(DualSolver, RetryBackoffRescuesOversizedStep) {
-  // An orbiting step rescued by backoff: each retry continues from the
-  // current prices with the step shrunk 10x, so by the second or third
-  // attempt the step is at the tuned scale and the solve settles.
-  util::Rng rng(577);
-  auto f = test::random_context(rng, 3, 1, 3);
-  DualOptions o = tuned();
-  o.step_size = 0.05;
-  o.max_iterations = 20000;
-  o.max_retries = 3;
-  o.retry_backoff = 0.1;
-  const DualResult d =
-      solve_dual(f.ctx, {f.ctx.total_expected_channels()}, o);
-  EXPECT_TRUE(d.converged);
-  EXPECT_FALSE(d.degraded);
-  EXPECT_GE(d.retries, 1u);
-  EXPECT_EQ(d.recovery, DualRecovery::kConverged);
-}
-
-TEST(DualSolver, FallbackChainReachesGreedy) {
-  // Absurd initial prices + a one-iteration budget leave the dual recovery
-  // with zero shares; the greedy slope-proportional rung must take over.
-  // Users are shaped so proportional weighting strictly beats equal shares
-  // (A's log term is far from saturating), keeping the chain at kGreedy.
-  util::Rng rng(587);
-  auto f = test::random_context(rng, 2, 1, 2);
-  f.ctx.users[0].psnr = 1.0;
-  f.ctx.users[0].rate_mbs = 10.0;
-  f.ctx.users[0].success_mbs = 1.0;
-  f.ctx.users[0].success_fbs = 0.0;  // MBS-only
-  f.ctx.users[1].psnr = 10.0;
-  f.ctx.users[1].rate_mbs = 1.0;
-  f.ctx.users[1].success_mbs = 1.0;
-  f.ctx.users[1].success_fbs = 0.0;
-  DualOptions o = tuned();
-  o.initial_lambda = 1e5;  // every best response clamps to zero
-  o.max_iterations = 1;
-  o.tolerance = 1e-12;
-  o.allow_fallback = true;
-  const DualResult d = solve_dual(f.ctx, {0.0}, o);
-  EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
-  EXPECT_EQ(d.recovery, DualRecovery::kGreedy);
-  EXPECT_TRUE(d.allocation.feasible(f.ctx));
-  // The slope-heavy user holds nearly the whole slot.
-  EXPECT_GT(d.allocation.rho_mbs[0], 0.9);
-}
-
-TEST(DualSolver, FallbackChainFallsThroughToEqual) {
-  // Crafted saturating instance: user A's enormous rate saturates its log
-  // term, so greedy's slope-proportional split (everything to A) loses to
-  // the equal split that keeps user B alive — the chain's last rung.
-  util::Rng rng(593);
-  auto f = test::random_context(rng, 2, 1, 2);
-  f.ctx.users[0].psnr = 1e-3;
-  f.ctx.users[0].rate_mbs = 1000.0;  // slope 1e6, log saturates instantly
-  f.ctx.users[0].success_mbs = 1.0;
-  f.ctx.users[0].success_fbs = 0.0;
-  f.ctx.users[1].psnr = 1.0;
-  f.ctx.users[1].rate_mbs = 10.0;  // slope 10: starved by greedy
-  f.ctx.users[1].success_mbs = 1.0;
-  f.ctx.users[1].success_fbs = 0.0;
-  DualOptions o = tuned();
-  o.initial_lambda = 1e5;
-  o.max_iterations = 1;
-  o.tolerance = 1e-12;
-  o.allow_fallback = true;
-  const DualResult d = solve_dual(f.ctx, {0.0}, o);
-  EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
-  EXPECT_EQ(d.recovery, DualRecovery::kEqual);
-  EXPECT_TRUE(d.allocation.feasible(f.ctx));
-  EXPECT_NEAR(d.allocation.rho_mbs[0], 0.5, 1e-9);
-  EXPECT_NEAR(d.allocation.rho_mbs[1], 0.5, 1e-9);
-}
-
-TEST(DualSolver, RejectsBadRetryBackoff) {
-  util::Rng rng(599);
-  auto f = test::random_context(rng, 2, 1, 2);
-  DualOptions o = tuned();
-  o.max_retries = 2;
-  o.retry_backoff = 0.0;
-  EXPECT_THROW(solve_dual(f.ctx, {1.0}, o), std::logic_error);
-  o.retry_backoff = 1.5;
-  EXPECT_THROW(solve_dual(f.ctx, {1.0}, o), std::logic_error);
 }
 
 TEST(DualSolver, WarmStartMissCountingRespectsTheFeatureSwitch) {
@@ -405,6 +315,91 @@ std::vector<std::uint64_t> bits(const std::vector<double>& v) {
   return out;
 }
 
+/// Crafted two-user MBS-only slot (psnr, rate_mbs per user): absurd initial
+/// prices and a one-iteration budget leave the dual recovery at zero
+/// shares, far from the optimum.
+test::ContextFixture starved_context(std::uint64_t seed, double psnr0,
+                                     double rate0, double psnr1,
+                                     double rate1) {
+  util::Rng rng(seed);
+  auto f = test::random_context(rng, 2, 1, 2);
+  f.ctx.users[0].psnr = psnr0;
+  f.ctx.users[0].rate_mbs = rate0;
+  f.ctx.users[1].psnr = psnr1;
+  f.ctx.users[1].rate_mbs = rate1;
+  for (UserState& u : f.ctx.users) {
+    u.success_mbs = 1.0;
+    u.success_fbs = 0.0;
+  }
+  return f;
+}
+
+/// With allow_fallback a non-converged solve is recovered by the exact
+/// water-fill of the same slot whenever that strictly beats the dual
+/// recovery: the returned allocation is waterfill_solve's bit for bit, and
+/// Q never falls below the same solve without the rung.
+DualResult expect_exact_rung(const test::ContextFixture& f,
+                             const std::vector<double>& gt,
+                             const DualOptions& options) {
+  const DualResult plain = solve_dual(f.ctx, gt, options);
+  DualOptions with_rung = options;
+  with_rung.allow_fallback = true;
+  const DualResult d = solve_dual(f.ctx, gt, with_rung);
+  const SlotAllocation w = waterfill_solve(f.ctx, gt);
+  EXPECT_FALSE(plain.converged);
+  EXPECT_FALSE(d.converged);
+  EXPECT_EQ(d.recovery, DualRecovery::kExact);
+  EXPECT_EQ(d.iterations, plain.iterations);
+  EXPECT_EQ(d.allocation.use_mbs, w.use_mbs);
+  EXPECT_EQ(bits(d.allocation.rho_mbs), bits(w.rho_mbs));
+  EXPECT_EQ(bits(d.allocation.rho_fbs), bits(w.rho_fbs));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.allocation.objective),
+            std::bit_cast<std::uint64_t>(w.objective));
+  EXPECT_GE(d.allocation.objective, plain.allocation.objective);
+  EXPECT_TRUE(d.allocation.feasible(f.ctx));
+  return d;
+}
+
+/// Absurd initial prices and a one-iteration budget: every best response
+/// clamps to zero and the solve cannot converge.
+DualOptions starved_options() {
+  DualOptions o = tuned();
+  o.initial_lambda = 1e5;
+  o.max_iterations = 1;
+  o.tolerance = 1e-12;
+  return o;
+}
+
+TEST(DualSolver, FallbackChainReachesGreedy) {
+  // The starved slot where the chain once ended at the slope-proportional
+  // split: user 0's log term is far from saturating, and the chain's one
+  // degraded rung, the exact water-fill, takes over from zero shares. The
+  // slope-heavy user holds nearly the whole slot.
+  const auto f = starved_context(587, 1.0, 10.0, 10.0, 1.0);
+  const DualResult d = expect_exact_rung(f, {0.0}, starved_options());
+  EXPECT_GT(d.allocation.rho_mbs[0], 0.9);
+}
+
+TEST(DualSolver, FallbackChainFallsThroughToEqual) {
+  // The starved slot where the chain once fell through to the equal split:
+  // user 0's enormous rate saturates its log term at once, so an optimum
+  // must keep user 1 alive. The exact rung does.
+  const auto f = starved_context(593, 1e-3, 1000.0, 1.0, 10.0);
+  const DualResult d = expect_exact_rung(f, {0.0}, starved_options());
+  EXPECT_GT(d.allocation.rho_mbs[1], 0.4);
+}
+
+TEST(DualSolver, ExactRungReturnsTheWaterfillOnNonConvergedSolves) {
+  // An oversized step (~2x the optimal price scale) that orbits for the
+  // whole budget.
+  util::Rng rng(577);
+  const auto f = test::random_context(rng, 3, 1, 3);
+  DualOptions orbit = tuned();
+  orbit.step_size = 0.05;
+  orbit.max_iterations = 5000;
+  expect_exact_rung(f, {f.ctx.total_expected_channels()}, orbit);
+}
+
 struct ThreadDefaultGuard {
   ~ThreadDefaultGuard() { util::set_default_threads(0); }
 };
@@ -414,8 +409,9 @@ TEST(DualSolver, LargeSolveIsThreadCountInvariant) {
   // depend on the pool's size by a single bit. The contexts sit at the
   // user counts where a per-user fan-out would pay off if it ever did: a
   // fleet-like edgeless deployment (224 users in 56 FBSs) and 500 users
-  // in 16 FBSs. Each gets a converged solve and a budget-capped orbit
-  // recovered through best-iterate tracking.
+  // in 16 FBSs. Each gets a converged solve and a budget-capped orbit,
+  // recovered once through best-iterate tracking and once by the exact
+  // water-fill rung.
   const ThreadDefaultGuard guard;
   struct Shape {
     std::size_t users, fbs;
@@ -430,14 +426,16 @@ TEST(DualSolver, LargeSolveIsThreadCountInvariant) {
     capped.max_iterations = 400;
     capped.track_best_iterate = true;
     capped.best_iterate_stride = 7;
-    for (const DualOptions* o : {&converging, &capped}) {
-      const bool expect_converged = o == &converging;
+    DualOptions exact = capped;
+    exact.allow_fallback = true;
+    for (const DualOptions* o : {&converging, &capped, &exact}) {
+      const DualRecovery expected = o == &converging ? DualRecovery::kConverged
+                                    : o == &capped   ? DualRecovery::kBestIterate
+                                                     : DualRecovery::kExact;
       util::set_default_threads(1);
       const DualResult ref = solve_dual(f.ctx, gt, *o);
-      ASSERT_EQ(ref.converged, expect_converged) << shape.users << " users";
-      ASSERT_EQ(ref.recovery, expect_converged ? DualRecovery::kConverged
-                                               : DualRecovery::kBestIterate)
-          << shape.users << " users";
+      ASSERT_EQ(ref.converged, o == &converging) << shape.users << " users";
+      ASSERT_EQ(ref.recovery, expected) << shape.users << " users";
       for (const std::size_t threads : {2, 8}) {
         util::set_default_threads(threads);
         const DualResult d = solve_dual(f.ctx, gt, *o);

@@ -153,7 +153,7 @@ TEST(FaultSim, DisabledProfileIsBitwiseInvisible) {
 
 TEST(FaultSim, FaultyRunsAreThreadCountInvariant) {
   // The whole point of realizing the plan up front: an active fault profile
-  // (including solver squeezes and the fallback chain) must stay bitwise
+  // (including solver squeezes and the fallback rung) must stay bitwise
   // identical across worker counts.
   ThreadDefaultGuard guard;
   Scenario scenario = single_fbs_scenario(/*seed=*/5);
@@ -219,14 +219,12 @@ TEST(FaultConfig, OverlayParsesAndValidates) {
   apply_fault_profile_string(
       "distributed_solver = on\n"
       "dual_fallback = on\n"
-      "dual_max_retries = 2\n"
       "fault_sensing_outage_rate = 0.05 # with a comment\n"
       "fault_budget_squeeze_rate = 0.2\n"
       "fault_budget_squeeze_iterations = 7\n",
       s);
   EXPECT_TRUE(s.use_distributed_solver);
   EXPECT_TRUE(s.dual.allow_fallback);
-  EXPECT_EQ(s.dual.max_retries, 2u);
   EXPECT_DOUBLE_EQ(s.faults.sensing_outage_rate, 0.05);
   EXPECT_DOUBLE_EQ(s.faults.budget_squeeze_rate, 0.2);
   EXPECT_EQ(s.faults.budget_squeeze_iterations, 7u);
@@ -243,6 +241,10 @@ TEST(FaultConfig, OverlayParsesAndValidates) {
                    t),
                std::logic_error);
   EXPECT_THROW(apply_fault_profile_string("dual_fallback = maybe\n", t),
+               std::logic_error);
+  // There are no step-backoff retry keys: a profile that names one is
+  // rejected, not silently run without retries.
+  EXPECT_THROW(apply_fault_profile_string("dual_max_retries = 1\n", t),
                std::logic_error);
 }
 
@@ -262,7 +264,7 @@ TEST(FaultConfig, SaveRoundTripsRobustnessKeys) {
   Scenario s = single_fbs_scenario(/*seed=*/1);
   s.use_distributed_solver = true;
   s.dual.allow_fallback = true;
-  s.dual.max_retries = 3;
+  s.dual.best_iterate_stride = 16;
   s.faults = chaos_profile();
   s.finalize();
   std::ostringstream out;
@@ -270,7 +272,7 @@ TEST(FaultConfig, SaveRoundTripsRobustnessKeys) {
   const Scenario loaded = load_scenario_string(out.str());
   EXPECT_TRUE(loaded.use_distributed_solver);
   EXPECT_TRUE(loaded.dual.allow_fallback);
-  EXPECT_EQ(loaded.dual.max_retries, 3u);
+  EXPECT_EQ(loaded.dual.best_iterate_stride, 16u);
   EXPECT_DOUBLE_EQ(loaded.faults.sensing_outage_rate,
                    s.faults.sensing_outage_rate);
   EXPECT_EQ(loaded.faults.budget_squeeze_iterations,

@@ -1,11 +1,13 @@
 // Tests for the Scheme dispatch layer: correct algorithm selection per
 // topology, agreement between the fast and distributed solvers inside the
-// Proposed scheme, factory behaviour, and the shard warm-start carry
-// discipline (fingerprint keying + wall-clock expiry regressions).
+// Proposed scheme, factory behaviour, and the warm-start carry discipline
+// (converged-only global carry, fingerprint keying + wall-clock expiry
+// regressions).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "core/dual_solver.h"
 #include "core/scheme.h"
 #include "core/waterfill.h"
 #include "test_helpers.h"
@@ -62,6 +64,47 @@ TEST(Scheme, DistributedSolverWarmStartsAcrossSlots) {
   const SlotAllocation first = distributed.allocate(f.ctx);
   const SlotAllocation second = distributed.allocate(f.ctx);  // same slot
   EXPECT_LT(second.dual_iterations, first.dual_iterations / 2 + 10);
+}
+
+TEST(Scheme, PriceCarryHoldsOnlyConvergedPrices) {
+  // The edgeless distributed path carries a solve's prices into the next
+  // slot only when that solve converged. A budget-squeezed solve that does
+  // not converge leaves nothing to carry, with or without the exact
+  // fallback rung, so the slot after it starts cold.
+  util::Rng rng(843);
+  auto a = test::random_context(rng, 4, 1, 3);
+  auto b = test::random_context(rng, 4, 1, 3);
+  const std::vector<double> gt_a = {a.ctx.total_expected_channels()};
+  const std::vector<double> gt_b = {b.ctx.total_expected_channels()};
+  for (const bool fallback : {false, true}) {
+    SCOPED_TRACE(fallback ? "with fallback" : "without fallback");
+    DualOptions opts;
+    opts.allow_fallback = fallback;
+    ProposedScheme scheme(opts, /*use_distributed_solver=*/true);
+
+    const DualResult solved_a = solve_dual(a.ctx, gt_a, opts);
+    ASSERT_TRUE(solved_a.converged);
+    (void)scheme.allocate(a.ctx);
+    ASSERT_NE(scheme.carried_prices(), nullptr);
+    EXPECT_EQ(*scheme.carried_prices(), solved_a.lambda);
+
+    // Slot b, squeezed to two iterations and seeded with a's prices.
+    DualOptions squeezed = opts;
+    squeezed.warm_start = solved_a.lambda;
+    squeezed.max_iterations = 2;
+    ASSERT_FALSE(solve_dual(b.ctx, gt_b, squeezed).converged);
+    b.ctx.solver_iteration_cap = 2;
+    (void)scheme.allocate(b.ctx);
+    EXPECT_EQ(scheme.carried_prices(), nullptr);
+
+    // Unsqueezed, slot b solves cold and its converged prices are carried.
+    b.ctx.solver_iteration_cap = 0;
+    const DualResult solved_b = solve_dual(b.ctx, gt_b, opts);
+    ASSERT_TRUE(solved_b.converged);
+    (void)scheme.allocate(b.ctx);
+    ASSERT_NE(scheme.carried_prices(), nullptr);
+    EXPECT_EQ(*scheme.carried_prices(), solved_b.lambda);
+  }
 }
 
 TEST(Scheme, ProposedInterferingUsesGreedyAndReportsBound) {

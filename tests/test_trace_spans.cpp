@@ -44,7 +44,6 @@ sim::Scenario chaos_scenario() {
   sim::apply_fault_profile_string(
       "distributed_solver = on\n"
       "dual_fallback = on\n"
-      "dual_max_retries = 1\n"
       "dual_max_iterations = 400\n"
       "fault_sensing_outage_rate = 0.05\n"
       "fault_sensing_outage_slots = 2\n"

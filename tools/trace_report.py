@@ -58,8 +58,7 @@ MANIFEST_NONEMPTY_KEYS = ("build_type", "git_sha", "hostname", "started_at",
 
 # core::DualRecovery, in enum order (dual_solver.h): how the slot's prices
 # were recovered when the subgradient loop degraded.
-RECOVERY_RUNGS = ("converged", "last_iterate", "best_iterate", "greedy",
-                  "equal")
+RECOVERY_RUNGS = ("converged", "last_iterate", "best_iterate", "exact")
 
 # Containment slack in microseconds: ts/dur carry nanosecond precision as
 # three decimals, so half an ns absorbs any fixed-point rounding.
